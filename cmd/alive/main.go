@@ -20,9 +20,6 @@
 //	-gencpp            emit InstCombine-style C++ for valid transformations
 //	-lint              run the static analyzer first; lint errors reject a
 //	                   transformation without attempting a proof
-//	-incremental off   disable assumption-based incremental solving: every
-//	                   query gets a fresh SAT core instead of reusing one
-//	                   session per type assignment (default on)
 //	-quiet             print only the per-transformation verdict lines
 //	-v                 print per-transformation solver counters
 //	-trace out.json    write a Chrome trace_event file of the run, loadable
@@ -104,8 +101,6 @@ func run() int {
 	lintFlag := flag.Bool("lint", false, "reject transformations with lint errors before proving")
 	presolve := flag.String("presolve", "on", "abstract-interpretation presolver before the SAT core (on|off)")
 	preprocess := flag.String("preprocess", "on", "SatELite-style CNF preprocessing between bit-blasting and the SAT core (on|off)")
-	inprocess := flag.String("inprocess", "on", "in-search clause-database analysis in the SAT core: vivification, learnt subsumption, clause GC (on|off)")
-	incremental := flag.String("incremental", "on", "assumption-based incremental solving: one SAT core per type assignment, queries as assumption flips (on|off)")
 	quiet := flag.Bool("quiet", false, "suppress counterexample details")
 	verbose := flag.Bool("v", false, "print per-transformation solver counters")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the run (streamed incrementally)")
@@ -139,22 +134,6 @@ func run() int {
 		opts.DisablePreprocess = true
 	default:
 		fmt.Fprintf(os.Stderr, "alive: -preprocess must be on or off, got %q\n", *preprocess)
-		return 2
-	}
-	switch *inprocess {
-	case "on":
-	case "off":
-		opts.DisableInprocess = true
-	default:
-		fmt.Fprintf(os.Stderr, "alive: -inprocess must be on or off, got %q\n", *inprocess)
-		return 2
-	}
-	switch *incremental {
-	case "on":
-	case "off":
-		opts.DisableIncremental = true
-	default:
-		fmt.Fprintf(os.Stderr, "alive: -incremental must be on or off, got %q\n", *incremental)
 		return 2
 	}
 	if *widthsFlag != "" {
@@ -508,11 +487,9 @@ func printResult(name, file string, res alive.Result, quiet, verbose bool) {
 			c.Decided+c.Simplified, c.Checks, c.CNFVars, c.CNFClauses)
 		fmt.Printf("    preprocess: %d vars eliminated, %d subsumed, %d strengthened, %d blocked, %d probe units\n",
 			c.VarsEliminated, c.ClausesSubsumed, c.ClausesStrengthened, c.ClausesBlocked, c.ProbeUnits)
-		fmt.Printf("    inprocess: %d runs, %d core learnts, %d reductions, %d vivified (-%d lits), %d subsumed\n",
-			c.Inprocessings, c.LBDCore, c.DBReductions, c.ClausesVivified, c.VivifyShrunkLits, c.LearntsSubsumed)
 		if c.IncrementalSolves > 0 {
-			fmt.Printf("    incremental: %d session solves, %d assumption lits, %d encodings reused, %d learnts retained\n",
-				c.IncrementalSolves, c.AssumptionLits, c.EncodingsReused, c.LearntsRetained)
+			fmt.Printf("    session: %d solves, %d assumption lits, %d encodings reused, %d learnts retained, %d core learnts, %d reductions\n",
+				c.IncrementalSolves, c.AssumptionLits, c.EncodingsReused, c.LearntsRetained, c.LBDCore, c.DBReductions)
 		}
 	}
 }

@@ -83,8 +83,8 @@ func a(s *Solver) {
 		}
 	}
 }
-func b(s *Solver) {
-	for !s.ipHalted() {
+func b(p *prep) {
+	for !p.halted() {
 		work()
 	}
 }

@@ -21,14 +21,13 @@ var hotPackages = []string{
 }
 
 // pollNames are call names that count as cooperative-halt polls: the
-// StopFlag itself, the inprocessing tick budget (which folds the
-// StopFlag in), the preprocessor's budget check, and fault-injection
-// sites (which honor stop-capable faults).
+// StopFlag itself, the preprocessor's budget check (which folds the
+// StopFlag in), and fault-injection sites (which honor stop-capable
+// faults).
 var pollNames = map[string]bool{
-	"Stopped":  true,
-	"ipHalted": true,
-	"halted":   true,
-	"Fire":     true,
+	"Stopped": true,
+	"halted":  true,
+	"Fire":    true,
 }
 
 // boundedAnnotation marks a loop the author asserts terminates in a
@@ -44,7 +43,7 @@ const boundedAnnotation = "alive:bounded"
 var StopFlagPoll = &Analyzer{
 	Name: "stopflagpoll",
 	Doc: "unbounded loops in solver hot paths must poll StopFlag " +
-		"(Stopped/ipHalted/halted/Fire) or be annotated //alive:bounded",
+		"(Stopped/halted/Fire) or be annotated //alive:bounded",
 	AppliesTo: func(importPath string) bool {
 		for _, p := range hotPackages {
 			if strings.HasSuffix(importPath, p) {
@@ -76,7 +75,7 @@ func runStopFlagPoll(u *Unit) []Diagnostic {
 				Pos:      u.Fset.Position(loop.For),
 				Analyzer: "stopflagpoll",
 				Message: "unbounded loop in solver hot path does not poll StopFlag; " +
-					"call Stopped/ipHalted/halted/Fire in the body or annotate //alive:bounded",
+					"call Stopped/halted/Fire in the body or annotate //alive:bounded",
 			})
 			return true
 		})
@@ -101,7 +100,7 @@ func boundedLines(fset *token.FileSet, f *ast.File) map[int]bool {
 
 // callsPoll reports whether the subtree contains a call to one of the
 // cooperative-halt names, either as a method (s.Stop.Stopped()) or a
-// plain function (ipHalted()).
+// plain function (halted()).
 func callsPoll(n ast.Node) bool {
 	if n == nil {
 		return false
@@ -128,7 +127,7 @@ func callsPoll(n ast.Node) bool {
 }
 
 // condPolls reports whether the loop condition itself embeds a halt
-// check (e.g. `for !s.ipHalted() && i < n { ... }`).
+// check (e.g. `for !p.halted() && i < n { ... }`).
 func condPolls(cond ast.Expr) bool {
 	if cond == nil {
 		return false

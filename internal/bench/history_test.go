@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"alive/internal/telemetry"
 )
 
 func testReport(conflicts int64, wallMS int64) *VerifyReport {
@@ -53,8 +55,10 @@ func TestHistoryAppendAndLoad(t *testing.T) {
 	if first.Counters["conflicts"] != 1000 || first.Counters["checks"] != 508 {
 		t.Fatalf("counters = %v", first.Counters)
 	}
-	if len(first.Counters) < 30 {
-		t.Fatalf("counter block has %d keys, want the full set", len(first.Counters))
+	full := 0
+	(telemetry.Counters{}).Each(func(string, int64) { full++ })
+	if len(first.Counters) != full {
+		t.Fatalf("counter block has %d keys, want the full set of %d", len(first.Counters), full)
 	}
 	if recs[2].Counters["conflicts"] != 1020 {
 		t.Fatalf("third record conflicts = %d", recs[2].Counters["conflicts"])

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,39 +33,20 @@ type preprocessReport struct {
 // Preprocess runs the CNF-preprocessing A/B experiment: the whole
 // corpus is verified once with the SatELite-style preprocessor enabled
 // and once with bit-blasted clauses streaming straight into CDCL. The
-// two runs must produce identical verdicts (model reconstruction keeps
-// counterexamples exact); the report shows the per-pass static-analysis
-// work and the resulting drop in CDCL propagations and conflicts.
+// two runs must produce identical verdicts (frozen interface variables
+// keep counterexamples exact); the report shows the per-pass
+// static-analysis work and the resulting drop in CDCL propagations and
+// conflicts.
 func Preprocess(cfg *Config) string {
 	var sb strings.Builder
 	sb.WriteString("Preprocess: SatELite-style CNF preprocessing on the corpus (A/B)\n\n")
 
 	ts := suite.ParseAll()
-	run := func(disable bool) ([]verify.Result, time.Duration) {
-		opts := cfg.verifyOpts()
-		opts.DisablePreprocess = disable
-		start := time.Now()
-		res, _ := verify.RunCorpus(context.Background(), ts, verify.CorpusOptions{
-			Verify:  opts,
-			Workers: cfg.Jobs,
-		})
-		return res, time.Since(start)
-	}
-	onRes, onT := run(false)
-	offRes, offT := run(true)
+	onRes, onT := runLeg(cfg, ts, nil)
+	offRes, offT := runLeg(cfg, ts, func(o *verify.Options) { o.DisablePreprocess = true })
 
 	rep := preprocessReport{Widths: cfg.Widths, Transforms: len(ts)}
 	for i := range onRes {
-		if onRes[i].Verdict != offRes[i].Verdict {
-			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: %v with preprocess, %v without", ts[i].Name, onRes[i].Verdict, offRes[i].Verdict))
-		}
-		if onRes[i].Verdict == verify.Invalid {
-			rep.InvalidOn++
-		}
-		if offRes[i].Verdict == verify.Invalid {
-			rep.InvalidOff++
-		}
 		rep.On.Add(onRes[i].Counters)
 		rep.Off.Add(offRes[i].Counters)
 	}
@@ -98,22 +78,13 @@ func Preprocess(cfg *Config) string {
 		fmt.Fprintf(&sb, "search reduction: propagations x%.2f, conflicts x%.2f of the unpreprocessed run\n",
 			rep.PropRatio, rep.ConflRatio)
 	}
-	switch {
-	case len(rep.Mismatches) > 0:
-		fmt.Fprintf(&sb, "verdict check: %d MISMATCHES — FAIL\n", len(rep.Mismatches))
-		for _, m := range rep.Mismatches {
-			fmt.Fprintf(&sb, "  %s\n", m)
-		}
-	case rep.InvalidOn != rep.InvalidOff:
-		fmt.Fprintf(&sb, "verdict check: invalid counts differ (%d vs %d) — FAIL\n", rep.InvalidOn, rep.InvalidOff)
-	default:
-		fmt.Fprintf(&sb, "verdict check: all %d verdicts agree, %d invalid on both legs — PASS\n",
-			len(ts), rep.InvalidOn)
-	}
+	vc := checkVerdicts(cfg, &sb, "preprocess", ts, onRes, offRes)
+	rep.Mismatches, rep.InvalidOn, rep.InvalidOff = vc.Mismatches, vc.InvalidOn, vc.InvalidOff
 	if rep.On.Propagations < rep.Off.Propagations && rep.On.Conflicts <= rep.Off.Conflicts {
 		sb.WriteString("search check: preprocessing reduces propagations without adding conflicts — PASS\n")
 	} else {
 		sb.WriteString("search check: preprocessing did not reduce CDCL work — FAIL\n")
+		cfg.Failures = append(cfg.Failures, "preprocess: preprocessing did not reduce CDCL work")
 	}
 
 	if cfg.ArtifactDir != "" {

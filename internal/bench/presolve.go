@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -43,31 +42,11 @@ func Presolve(cfg *Config) string {
 	sb.WriteString("Presolve: abstract-interpretation presolver on the corpus (A/B)\n\n")
 
 	ts := suite.ParseAll()
-	run := func(disable bool) ([]verify.Result, time.Duration) {
-		opts := cfg.verifyOpts()
-		opts.DisablePresolve = disable
-		start := time.Now()
-		res, _ := verify.RunCorpus(context.Background(), ts, verify.CorpusOptions{
-			Verify:  opts,
-			Workers: cfg.Jobs,
-		})
-		return res, time.Since(start)
-	}
-	onRes, onT := run(false)
-	offRes, offT := run(true)
+	onRes, onT := runLeg(cfg, ts, nil)
+	offRes, offT := runLeg(cfg, ts, func(o *verify.Options) { o.DisablePresolve = true })
 
 	rep := presolveReport{Widths: cfg.Widths, Transforms: len(ts)}
 	for i := range onRes {
-		if onRes[i].Verdict != offRes[i].Verdict {
-			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: %v with presolve, %v without", ts[i].Name, onRes[i].Verdict, offRes[i].Verdict))
-		}
-		if onRes[i].Verdict == verify.Invalid {
-			rep.InvalidOn++
-		}
-		if offRes[i].Verdict == verify.Invalid {
-			rep.InvalidOff++
-		}
 		rep.On.Add(onRes[i].Counters)
 		rep.Off.Add(offRes[i].Counters)
 		rep.Discharged += onRes[i].QueriesDischarged
@@ -95,22 +74,13 @@ func Presolve(cfg *Config) string {
 		rep.Discharged, rep.Simplified)
 	fmt.Fprintf(&sb, "discharged-or-simplified rate: %d/%d = %.0f%% (target >= 20%%)\n",
 		rep.On.DischargedOrSimplified(), rep.On.Checks, 100*rep.Rate)
-	switch {
-	case len(rep.Mismatches) > 0:
-		fmt.Fprintf(&sb, "verdict check: %d MISMATCHES — FAIL\n", len(rep.Mismatches))
-		for _, m := range rep.Mismatches {
-			fmt.Fprintf(&sb, "  %s\n", m)
-		}
-	case rep.InvalidOn != rep.InvalidOff:
-		fmt.Fprintf(&sb, "verdict check: invalid counts differ (%d vs %d) — FAIL\n", rep.InvalidOn, rep.InvalidOff)
-	default:
-		fmt.Fprintf(&sb, "verdict check: all %d verdicts agree, %d invalid on both legs — PASS\n",
-			len(ts), rep.InvalidOn)
-	}
+	vc := checkVerdicts(cfg, &sb, "presolve", ts, onRes, offRes)
+	rep.Mismatches, rep.InvalidOn, rep.InvalidOff = vc.Mismatches, vc.InvalidOn, vc.InvalidOff
 	if rep.Rate >= 0.20 {
 		sb.WriteString("rate check: presolver discharges or simplifies >= 20% of queries — PASS\n")
 	} else {
 		sb.WriteString("rate check: below the 20% target — FAIL\n")
+		cfg.Failures = append(cfg.Failures, fmt.Sprintf("presolve: discharge rate %.2f below 0.20", rep.Rate))
 	}
 
 	if cfg.ArtifactDir != "" {

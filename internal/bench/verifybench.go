@@ -51,7 +51,12 @@ import (
 // fresh-formula sizes, so both are far below schema-4 values; and
 // conflicts/propagations measure searches that start with the previous
 // queries' learnt clauses already in the database.
-const VerifyReportSchema = 5
+// Version 6: sessions became the only solving path and restart-boundary
+// inprocessing was deleted — the counters block lost inprocessings,
+// clauses_vivified, vivify_shrunk_lits, and learnts_subsumed, and
+// conflicts/propagations/restarts now measure the plain LBD-tiered CDCL
+// loop (more conflicts, fewer propagations than schema 5).
+const VerifyReportSchema = 6
 
 // VerifySlow is one entry of the report's slowest-transforms table.
 // Durations are machine-dependent and informational; the comparator

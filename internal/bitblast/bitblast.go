@@ -629,9 +629,8 @@ func (bl *Blaster) EachInterfaceVar(fn func(v int)) {
 }
 
 // BVVarValue reads the model value of a BitVec variable after a Sat
-// result, given a variable-truth reader (sat.Solver.ValueOf, or a
-// closure over a preprocessor-extended model); missing variables (never
-// blasted) read as zero.
+// result, given a variable-truth reader such as sat.Solver.ValueOf;
+// missing variables (never blasted) read as zero.
 func (bl *Blaster) BVVarValue(name string, width int, value func(v int) bool) bv.Vec {
 	bits, ok := bl.bvVars[name]
 	if !ok {

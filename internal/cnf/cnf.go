@@ -7,12 +7,11 @@
 // simplified clauses are then loaded into sat.Solver for search.
 //
 // Variable elimination and blocked clause elimination only preserve
-// equisatisfiability, not models, so every clause they remove is
-// recorded on a reconstruction stack together with a witness literal.
-// ExtendModel replays the stack in reverse to turn any model of the
-// simplified formula into a model of the original one, which keeps the
-// smt.Model values read back by the verifier (counterexamples, CEGIS
-// refinement points) exact.
+// equisatisfiability, not models. Both are therefore restricted to
+// variables the caller has not frozen: a core model of the simplified
+// formula is exact on every frozen variable, and the values it assigns
+// them extend to a model of the original clauses. The solver's
+// sessions freeze every variable the verifier reads back.
 package cnf
 
 import "alive/internal/sat"
@@ -20,8 +19,8 @@ import "alive/internal/sat"
 // clause is a stored clause plus a 64-bit signature over its literals
 // (a bloom filter: sig(C) ⊆ sig(D) is necessary for C ⊆ D, so most
 // subsumption candidates are rejected without touching the literals).
-// The signature machinery itself — shared with the CDCL core's
-// inprocessing — lives in internal/sat (sat.LitSig, sat.ComputeSig).
+// The signature machinery itself lives in internal/sat (sat.LitSig,
+// sat.ComputeSig).
 type clause struct {
 	lits    []sat.Lit
 	sig     uint64
@@ -55,17 +54,16 @@ type Formula struct {
 	unitQ []sat.Lit
 	ok    bool
 
-	// Incremental-session state. A Formula used as a persistent session
-	// (solver.Session) is preprocessed and loaded into the same CDCL
-	// core many times; the fields below make that sound:
+	// Incremental-session state. The formula behind a solver session
+	// (internal/solver, session.go) is preprocessed and loaded into the
+	// same CDCL core many times; the fields below make that sound:
 	//
 	//   frozen — interface variables (named inputs, memoized encoding
-	//   outputs, activation literals) that future AddClause calls may
-	//   mention again. They must survive variable elimination, and
+	//   outputs, query roots) that future AddClause calls may mention
+	//   again. They must survive variable elimination, and
 	//   blocked-clause elimination must not pick them as witnesses, so
 	//   that (a) eliminating them never becomes unsound when later
-	//   clauses arrive and (b) a core model is exact on them without
-	//   reconstruction.
+	//   clauses arrive and (b) a core model is exact on them.
 	//
 	//   elim — variables removed by elimination, persistent across
 	//   preprocessing calls. A later clause mentioning one is a
@@ -81,7 +79,6 @@ type Formula struct {
 	frozen      []bool
 	elim        []bool
 	inCore      []bool
-	ext         []extEntry
 	trailOut    []sat.Lit
 	sentUnits   int
 	sentClauses int
@@ -277,8 +274,4 @@ func (f *Formula) LoadDelta(core *sat.Solver) {
 			f.inCore[l.Var()] = true
 		}
 	}
-}
-
-func litTrue(model []bool, l sat.Lit) bool {
-	return model[l.Var()] != l.Neg()
 }

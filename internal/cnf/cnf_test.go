@@ -104,75 +104,142 @@ func TestProbeFindsFailedLiteral(t *testing.T) {
 	}
 }
 
-// checkModel verifies that model (1-indexed) satisfies every clause.
-func checkModel(t *testing.T, model []bool, clauses [][]int) {
-	t.Helper()
-	for _, c := range clauses {
-		ok := false
-		for _, v := range c {
-			if v > 0 && model[v] || v < 0 && !model[-v] {
-				ok = true
-				break
+// randomClauses draws nclauses clauses of 1..maxLen literals over
+// variables 1..nvars.
+func randomClauses(rng *rand.Rand, nvars, nclauses, maxLen int) [][]int {
+	clauses := make([][]int, nclauses)
+	for i := range clauses {
+		c := make([]int, 1+rng.Intn(maxLen))
+		for j := range c {
+			v := 1 + rng.Intn(nvars)
+			if rng.Intn(2) == 0 {
+				v = -v
 			}
+			c[j] = v
 		}
-		if !ok {
-			t.Fatalf("reconstructed model %v violates clause %v", model, c)
-		}
+		clauses[i] = c
 	}
+	return clauses
 }
 
-// solveAndExtend preprocesses f, loads the remainder into a fresh CDCL
-// core, and returns the status plus the reconstructed full model.
-func solveAndExtend(t *testing.T, f *Formula, opts Options) (sat.Status, []bool) {
-	t.Helper()
+// randomFrozen picks a random subset of the variables 1..nvars, each
+// with the same probability of 1/4, 1/2 or 3/4.
+func randomFrozen(rng *rand.Rand, nvars int) []int {
+	p := 1 + rng.Intn(3)
+	var vs []int
+	for v := 1; v <= nvars; v++ {
+		if rng.Intn(4) < p {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// plainSolver loads clauses, plus units, into a CDCL core with no
+// preprocessing.
+func plainSolver(nvars int, clauses [][]int, units ...int) *sat.Solver {
+	s := sat.New()
+	for i := 0; i < nvars; i++ {
+		s.NewVar()
+	}
+	for _, c := range clauses {
+		lits := make([]sat.Lit, len(c))
+		for j, v := range c {
+			lits[j] = lit(v)
+		}
+		s.AddClause(lits...)
+	}
+	for _, u := range units {
+		s.AddClause(lit(u))
+	}
+	return s
+}
+
+// solveFrozen freezes the given variables of f, preprocesses it,
+// streams the result into a fresh CDCL core with LoadDelta, and solves
+// it. A Sat result also returns the core model's values on the frozen
+// variables, as DIMACS units.
+func solveFrozen(f *Formula, opts Options, frozen []int) (sat.Status, []int, Stats) {
+	for _, v := range frozen {
+		f.Freeze(v)
+	}
 	res := Preprocess(f, opts)
 	if res.Unsat {
-		return sat.Unsat, nil
+		return sat.Unsat, nil, res.Stats
 	}
 	core := sat.New()
-	res.Load(core)
+	f.LoadDelta(core)
 	st := core.Solve()
 	if st != sat.Sat {
-		return st, nil
+		return st, nil, res.Stats
 	}
-	return st, res.ExtendModel(core.Model())
+	units := make([]int, len(frozen))
+	for i, v := range frozen {
+		units[i] = v
+		if !core.ValueOf(v) {
+			units[i] = -v
+		}
+	}
+	return st, units, res.Stats
+}
+
+// checkFrozenModel asserts a Sat model's values on the frozen variables
+// as units on top of the original clauses: elimination and blocked
+// clauses only ever drop constraints through non-frozen variables, so
+// the values must extend to a model of the original formula.
+func checkFrozenModel(t *testing.T, nvars int, clauses [][]int, units []int) {
+	t.Helper()
+	if st := plainSolver(nvars, clauses, units...).Solve(); st != sat.Sat {
+		t.Fatalf("frozen values %v do not extend to a model of %v (%v)", units, clauses, st)
+	}
 }
 
 func TestEliminationReconstruction(t *testing.T) {
-	// Variable 1 is functionally defined; elimination removes it and the
-	// reconstruction stack must restore a consistent value.
+	// Variable 1 is functionally defined and not frozen; elimination
+	// removes it, and the values the core gives the frozen variables
+	// must still extend to a model of the original clauses.
 	clauses := [][]int{{1, 2}, {-1, 3}, {2, 3, 4}}
 	f := newFormula(4, clauses...)
-	st, model := solveAndExtend(t, f, Options{NoSubsume: true, NoBlocked: true, NoProbe: true})
+	st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoBlocked: true, NoProbe: true}, []int{2, 3, 4})
 	if st != sat.Sat {
 		t.Fatalf("status = %v, want sat", st)
 	}
-	checkModel(t, model, clauses)
+	if !f.elim[1] {
+		t.Fatal("variable 1 should have been eliminated")
+	}
+	checkFrozenModel(t, 4, clauses, units)
 }
 
 func TestPureLiteralReconstruction(t *testing.T) {
 	// Variable 1 occurs only positively: pure-literal elimination (BVE
-	// with an empty side) drops both clauses; reconstruction must set it
-	// true whenever the clauses would otherwise be violated.
+	// with an empty side) drops both clauses that mention it, and the
+	// frozen variables 2 and 3 are left with (¬2 ∨ ¬3) alone.
 	clauses := [][]int{{1, 2}, {1, 3}, {-2, -3}}
 	f := newFormula(3, clauses...)
-	st, model := solveAndExtend(t, f, Options{NoSubsume: true, NoBlocked: true, NoProbe: true})
+	st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoBlocked: true, NoProbe: true}, []int{2, 3})
 	if st != sat.Sat {
 		t.Fatalf("status = %v, want sat", st)
 	}
-	checkModel(t, model, clauses)
+	if !f.elim[1] {
+		t.Fatal("pure variable 1 should have been eliminated")
+	}
+	checkFrozenModel(t, 3, clauses, units)
 }
 
 func TestBlockedClauseReconstruction(t *testing.T) {
-	// (1 ∨ 2) is blocked on 1 when every clause with ¬1 resolves
-	// tautologically; flipping 1 must repair any model that violates it.
+	// (1 ∨ 2) is blocked on the non-frozen literal 1: every clause with
+	// ¬1 resolves tautologically, so dropping it leaves the frozen
+	// variables' values extendable.
 	clauses := [][]int{{1, 2}, {-1, -2, 3}, {-3, 2}}
 	f := newFormula(3, clauses...)
-	st, model := solveAndExtend(t, f, Options{NoSubsume: true, NoElim: true, NoProbe: true})
+	st, units, stats := solveFrozen(f, Options{NoSubsume: true, NoElim: true, NoProbe: true}, []int{2, 3})
 	if st != sat.Sat {
 		t.Fatalf("status = %v, want sat", st)
 	}
-	checkModel(t, model, clauses)
+	if stats.ClausesBlocked == 0 {
+		t.Fatal("expected a blocked clause")
+	}
+	checkFrozenModel(t, 3, clauses, units)
 }
 
 func TestStopFlagHalts(t *testing.T) {
@@ -193,54 +260,26 @@ func TestStopFlagHalts(t *testing.T) {
 func TestBudgetHalts(t *testing.T) {
 	clauses := [][]int{{1, 2, 3}, {-1, 2, 4}, {3, -4, 5}, {-5, 1, 2}}
 	f := newFormula(5, clauses...)
-	res := Preprocess(f, Options{Budget: 1})
-	if res.Unsat {
-		t.Fatal("budget exhaustion must not claim unsat")
-	}
-	// Whatever partial work happened must remain equisatisfiable.
-	core := sat.New()
-	res.Load(core)
-	if st := core.Solve(); st != sat.Sat {
+	// Whatever partial work happened must remain equisatisfiable, and
+	// exact on the frozen variables.
+	st, units, _ := solveFrozen(f, Options{Budget: 1}, []int{1, 2})
+	if st != sat.Sat {
 		t.Fatalf("status = %v, want sat", st)
 	}
+	checkFrozenModel(t, 5, clauses, units)
 }
 
 // TestDifferentialRandom cross-checks the full pipeline against an
 // unpreprocessed CDCL run on random CNFs, over every pass-toggle
-// combination: statuses must agree, and reconstructed models must
-// satisfy every original clause.
+// combination and random frozen sets: statuses must agree, and the
+// frozen variables' values of every Sat model must extend to a model
+// of the original clauses.
 func TestDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 400; iter++ {
 		nvars := 3 + rng.Intn(18)
-		nclauses := 2 + rng.Intn(4*nvars)
-		clauses := make([][]int, nclauses)
-		for i := range clauses {
-			n := 1 + rng.Intn(4)
-			c := make([]int, n)
-			for j := range c {
-				v := 1 + rng.Intn(nvars)
-				if rng.Intn(2) == 0 {
-					v = -v
-				}
-				c[j] = v
-			}
-			clauses[i] = c
-		}
-
-		// Reference: plain CDCL, no preprocessing.
-		ref := sat.New()
-		for i := 0; i < nvars; i++ {
-			ref.NewVar()
-		}
-		for _, c := range clauses {
-			lits := make([]sat.Lit, len(c))
-			for j, v := range c {
-				lits[j] = lit(v)
-			}
-			ref.AddClause(lits...)
-		}
-		want := ref.Solve()
+		clauses := randomClauses(rng, nvars, 2+rng.Intn(4*nvars), 4)
+		want := plainSolver(nvars, clauses).Solve()
 
 		opts := Options{
 			NoSubsume: rng.Intn(4) == 0,
@@ -249,67 +288,69 @@ func TestDifferentialRandom(t *testing.T) {
 			NoProbe:   rng.Intn(4) == 0,
 		}
 		f := newFormula(nvars, clauses...)
-		st, model := solveAndExtend(t, f, opts)
+		st, units, _ := solveFrozen(f, opts, randomFrozen(rng, nvars))
 		if st != want {
 			t.Fatalf("iter %d: status %v with preprocessing %+v, want %v (clauses %v)",
 				iter, st, opts, want, clauses)
 		}
 		if st == sat.Sat {
-			checkModel(t, model, clauses)
+			checkFrozenModel(t, nvars, clauses, units)
 		}
 	}
 }
 
-// TestDifferentialEliminationHeavy stresses reconstruction specifically:
-// few variables, many clauses, only elimination and blocked-clause
-// passes (the two that lose models).
+// TestDifferentialEliminationHeavy stresses the two passes that lose
+// models — elimination and blocked clauses — on few variables and many
+// clauses.
 func TestDifferentialEliminationHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 300; iter++ {
 		nvars := 2 + rng.Intn(8)
-		nclauses := 1 + rng.Intn(3*nvars)
-		clauses := make([][]int, nclauses)
-		for i := range clauses {
-			n := 1 + rng.Intn(3)
-			c := make([]int, n)
-			for j := range c {
-				v := 1 + rng.Intn(nvars)
-				if rng.Intn(2) == 0 {
-					v = -v
-				}
-				c[j] = v
-			}
-			clauses[i] = c
-		}
-		ref := sat.New()
-		for i := 0; i < nvars; i++ {
-			ref.NewVar()
-		}
-		for _, c := range clauses {
-			lits := make([]sat.Lit, len(c))
-			for j, v := range c {
-				lits[j] = lit(v)
-			}
-			ref.AddClause(lits...)
-		}
-		want := ref.Solve()
+		clauses := randomClauses(rng, nvars, 1+rng.Intn(3*nvars), 3)
+		want := plainSolver(nvars, clauses).Solve()
 
 		f := newFormula(nvars, clauses...)
-		st, model := solveAndExtend(t, f, Options{NoSubsume: true, NoProbe: true})
+		st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoProbe: true}, randomFrozen(rng, nvars))
 		if st != want {
 			t.Fatalf("iter %d: status %v, want %v (clauses %v)", iter, st, want, clauses)
 		}
 		if st == sat.Sat {
-			checkModel(t, model, clauses)
+			checkFrozenModel(t, nvars, clauses, units)
 		}
+	}
+}
+
+// TestWarmCallFollowsDelta: a Preprocess call after LoadDelta spends
+// effort on the clauses added since the load, not on the whole
+// database, and a new clause still subsumes a loaded one.
+func TestWarmCallFollowsDelta(t *testing.T) {
+	const n = 2000
+	var clauses [][]int
+	for v := 1; v < n; v++ {
+		clauses = append(clauses, []int{-v, v + 1})
+	}
+	clauses = append(clauses, []int{-1, 3, 5})
+	f := newFormula(n, clauses...)
+	for v := 1; v <= n; v++ {
+		f.Freeze(v)
+	}
+	cold := Preprocess(f, Options{})
+	f.LoadDelta(sat.New())
+	f.AddClause(lit(-1), lit(3))
+	warm := Preprocess(f, Options{})
+	if warm.Stats.ClausesSubsumed != 1 {
+		t.Fatalf("warm call subsumed %d clauses, want 1 (the loaded (¬1 ∨ 3 ∨ 5))", warm.Stats.ClausesSubsumed)
+	}
+	if warm.Stats.BudgetSpent*100 > cold.Stats.BudgetSpent {
+		t.Fatalf("warm call spent %d ticks on a 2-literal delta, cold call %d", warm.Stats.BudgetSpent, cold.Stats.BudgetSpent)
 	}
 }
 
 func TestLoadCarriesUnits(t *testing.T) {
 	f := newFormula(3, []int{2}, []int{-2, 3})
-	res := Preprocess(f, Options{})
+	Preprocess(f, Options{})
 	core := sat.New()
-	res.Load(core)
+	f.LoadDelta(core)
 	if core.NumVars() != 3 {
 		t.Fatalf("vars = %d, want 3", core.NumVars())
 	}
@@ -317,6 +358,6 @@ func TestLoadCarriesUnits(t *testing.T) {
 		t.Fatal("want sat")
 	}
 	if !core.ValueOf(2) || !core.ValueOf(3) {
-		t.Fatal("root units lost in Load")
+		t.Fatal("root units lost in LoadDelta")
 	}
 }

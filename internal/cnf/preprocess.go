@@ -18,7 +18,8 @@ type Options struct {
 	// NoProbe disables failed-literal probing.
 	NoProbe bool
 	// Budget is the work budget in propagation-style ticks (roughly one
-	// tick per literal visited); 0 means a default. Exhausting the
+	// tick per literal visited); 0 means a default. A call after
+	// LoadDelta is further capped by the size of the delta. Exhausting the
 	// budget stops preprocessing early, which is always sound: a
 	// partially preprocessed formula is still equisatisfiable.
 	Budget int64
@@ -34,6 +35,9 @@ type Options struct {
 const (
 	defaultBudget    = 2_000_000
 	defaultMaxRounds = 5
+	// warmTicksPerLit caps the budget of a warm call (one after
+	// LoadDelta) at this many ticks per literal added since the load.
+	warmTicksPerLit = 64
 	// elimProductLimit skips variable elimination when the resolvent
 	// cross product is too large to even count within reason.
 	elimProductLimit = 1024
@@ -58,50 +62,51 @@ type Stats struct {
 	BudgetSpent int64
 }
 
-// extEntry is one frame of the model-reconstruction stack: a clause
-// removed by variable elimination or blocked clause elimination, plus
-// the witness literal to flip if a model of the simplified formula
-// leaves the clause unsatisfied.
-type extEntry struct {
-	witness sat.Lit
-	clause  []sat.Lit
-}
-
-// Result is a preprocessed formula: either proved unsatisfiable, or a
-// simplified clause database (Load) together with the reconstruction
-// stack that extends any model of it to a model of the original formula
-// (ExtendModel).
+// Result is the outcome of one preprocessing run: whether it refuted
+// the formula, and what it did. The simplified clauses stay in the
+// Formula, which streams them into a core with LoadDelta.
 type Result struct {
 	// Unsat is set when preprocessing alone refuted the formula.
 	Unsat bool
 	Stats Stats
-	f     *Formula
-	ext   []extEntry
 }
 
 type prep struct {
 	f *Formula
 	// occ[int(lit)] lists indices into f.clauses of clauses containing
 	// lit; entries go stale when clauses are deleted or strengthened and
-	// are dropped lazily by occList. Eliminated-variable marks and the
-	// reconstruction stack live on the Formula so they persist across
-	// the repeated Preprocess calls of an incremental session.
+	// are dropped lazily by occList. Eliminated-variable marks live on
+	// the Formula so they persist across the repeated Preprocess calls
+	// of an incremental session.
 	occ    [][]int
 	budget int64
 	stop   *sat.StopFlag
 	stats  *Stats
 }
 
-// Preprocess runs the pass pipeline to a fixpoint (or until the budget
-// or Stop flag halts it) and returns the simplified formula. The
-// formula must not be modified afterwards except through the Result.
+// Preprocess runs the pass pipeline over f in place to a fixpoint (or
+// until the budget or Stop flag halts it). Freeze the variables whose
+// values the caller will read, and those later clauses may mention,
+// before calling it.
 func Preprocess(f *Formula, opts Options) *Result {
-	res := &Result{f: f}
+	res := &Result{}
 	res.Stats.VarsIn = f.nvars
 	res.Stats.ClausesIn = f.live
 	budget := opts.Budget
 	if budget <= 0 {
 		budget = defaultBudget
+	}
+	if f.sentClauses > 0 {
+		// A warm call: a core already holds the clauses simplified by
+		// earlier calls, so effort follows what arrived since, and each
+		// query of a long session pays for its own clauses.
+		delta := int64(0)
+		for _, c := range f.clauses[f.sentClauses:] {
+			if !c.deleted {
+				delta += int64(len(c.lits))
+			}
+		}
+		budget = min(budget, warmTicksPerLit*delta)
 	}
 	rounds := opts.MaxRounds
 	if rounds <= 0 {
@@ -148,7 +153,6 @@ func Preprocess(f *Formula, opts Options) *Result {
 	}
 	res.Stats.ClausesOut = f.live
 	res.Stats.BudgetSpent = budget - p.budget
-	res.ext = f.ext
 	res.Unsat = !f.ok
 	return res
 }
@@ -228,16 +232,18 @@ func (p *prep) saturate() {
 	}
 }
 
-// subsume runs backward subsumption and self-subsuming resolution over
-// every live clause: a clause C deletes any D ⊇ C, and strengthens any
-// D ⊇ (C \ {l}) ∪ {¬l} by removing ¬l. Strengthened clauses re-enter
-// the queue.
+// subsume runs backward subsumption and self-subsuming resolution with
+// every clause the core has not received yet as the subsuming side: a
+// clause C deletes any D ⊇ C, and strengthens any D ⊇ (C \ {l}) ∪ {¬l}
+// by removing ¬l. Strengthened clauses re-enter the queue. Loaded
+// clauses had their turn in the call that loaded them; queueing them
+// again made every query of a long session pay for the whole database.
 func (p *prep) subsume() int64 {
 	f := p.f
 	changed := int64(0)
-	queue := make([]int, 0, len(f.clauses))
-	for ci, c := range f.clauses {
-		if !c.deleted {
+	queue := make([]int, 0, len(f.clauses)-f.sentClauses)
+	for ci := f.sentClauses; ci < len(f.clauses); ci++ {
+		if !f.clauses[ci].deleted {
 			queue = append(queue, ci)
 		}
 	}
@@ -354,11 +360,9 @@ func resolve(a, b []sat.Lit, v int) (out []sat.Lit, ok bool) {
 	return out, true
 }
 
-// eliminate runs NiVER-style bounded variable elimination: a variable v
-// is replaced by the resolvents of its positive and negative
-// occurrences when that does not grow the clause count. The smaller
-// occurrence side plus a default unit goes onto the reconstruction
-// stack so models can be extended afterwards.
+// eliminate runs NiVER-style bounded variable elimination: a
+// non-frozen variable v is replaced by the resolvents of its positive
+// and negative occurrences when that does not grow the clause count.
 func (p *prep) eliminate() int64 {
 	f := p.f
 	changed := int64(0)
@@ -405,20 +409,6 @@ func (p *prep) eliminate() int64 {
 		if !feasible {
 			continue
 		}
-		// Record the smaller side (plus a default unit of the opposite
-		// polarity) for model reconstruction, MiniSat elimclauses
-		// style: replayed in reverse, the unit sets a default and each
-		// recorded clause flips v if it would otherwise be violated.
-		side, unit := pos, ln
-		if len(pos) > len(neg) {
-			side, unit = neg, lp
-		}
-		witness := unit.Not()
-		for _, si := range side {
-			cl := append([]sat.Lit(nil), f.clauses[si].lits...)
-			f.ext = append(f.ext, extEntry{witness: witness, clause: cl})
-		}
-		f.ext = append(f.ext, extEntry{witness: unit, clause: []sat.Lit{unit}})
 		for _, ci := range pos {
 			f.delete(f.clauses[ci])
 		}
@@ -443,7 +433,7 @@ func (p *prep) eliminate() int64 {
 // blocked runs blocked clause elimination: a clause C is blocked on a
 // literal l ∈ C when every resolvent of C on l is tautological;
 // removing it preserves satisfiability, and flipping l repairs any
-// model that violates C.
+// model that violates C, so only non-frozen literals may block.
 func (p *prep) blocked() int64 {
 	f := p.f
 	changed := int64(0)
@@ -460,9 +450,9 @@ func (p *prep) blocked() int64 {
 		}
 		for _, l := range c.lits {
 			// A frozen witness would be unsound twice over: future
-			// clauses may resolve against l, and the witness flip in
-			// model reconstruction would perturb an interface variable
-			// the caller reads directly.
+			// clauses may resolve against l, and repairing a model
+			// that violates C would flip an interface variable the
+			// caller reads directly.
 			if f.frozen[l.Var()] {
 				continue
 			}
@@ -476,8 +466,6 @@ func (p *prep) blocked() int64 {
 				}
 			}
 			if isBlocked {
-				cl := append([]sat.Lit(nil), c.lits...)
-				f.ext = append(f.ext, extEntry{witness: l, clause: cl})
 				f.delete(c)
 				p.stats.ClausesBlocked++
 				changed++
@@ -608,56 +596,4 @@ func (p *prep) tempPropagate(l sat.Lit, mark []int8, trail *[]sat.Lit) bool {
 		}
 	}
 	return false
-}
-
-// Load replays the simplified formula into a fresh CDCL core: the same
-// variable count (eliminated variables are simply unconstrained — the
-// reconstruction stack repairs their values), every root unit, and
-// every surviving clause.
-func (r *Result) Load(core *sat.Solver) {
-	f := r.f
-	//alive:bounded — grows the variable table to a fixed count.
-	for core.NumVars() < f.nvars {
-		core.NewVar()
-	}
-	for v := 1; v <= f.nvars; v++ {
-		if f.value[v] != 0 {
-			core.AddClause(sat.MkLit(v, f.value[v] < 0))
-		}
-	}
-	for _, c := range f.clauses {
-		if !c.deleted {
-			core.AddClause(c.lits...)
-		}
-	}
-}
-
-// ExtendModel turns a model of the simplified formula (indexed by
-// variable, index 0 unused, as returned by sat.Solver.Model) into a
-// model of the original formula: root units are forced, then the
-// reconstruction stack is replayed newest-first, flipping each witness
-// whose recorded clause the model would otherwise violate.
-func (r *Result) ExtendModel(m []bool) []bool {
-	f := r.f
-	out := make([]bool, f.nvars+1)
-	copy(out, m)
-	for v := 1; v <= f.nvars; v++ {
-		if f.value[v] != 0 {
-			out[v] = f.value[v] == 1
-		}
-	}
-	for i := len(r.ext) - 1; i >= 0; i-- {
-		e := r.ext[i]
-		satisfied := false
-		for _, l := range e.clause {
-			if litTrue(out, l) {
-				satisfied = true
-				break
-			}
-		}
-		if !satisfied {
-			out[e.witness.Var()] = !e.witness.Neg()
-		}
-	}
-	return out
 }

@@ -11,9 +11,9 @@ import (
 
 // TestStopFlagMidPreprocess flips the stop flag before and at random
 // points during Preprocess and asserts the halt is always sound: the
-// surviving formula is equisatisfiable with the original, and models of
-// it extend (ExtendModel) to models of the original clauses — no
-// matter which pass the flag interrupted.
+// surviving formula is equisatisfiable with the original, and a model's
+// values on the frozen variables extend to a model of the original
+// clauses — no matter which pass the flag interrupted.
 func TestStopFlagMidPreprocess(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	iters := 200
@@ -22,36 +22,11 @@ func TestStopFlagMidPreprocess(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		nvars := 10 + rng.Intn(50)
-		nclauses := 2 + rng.Intn(4*nvars)
-		clauses := make([][]int, nclauses)
-		for i := range clauses {
-			n := 1 + rng.Intn(4)
-			c := make([]int, n)
-			for j := range c {
-				v := 1 + rng.Intn(nvars)
-				if rng.Intn(2) == 0 {
-					v = -v
-				}
-				c[j] = v
-			}
-			clauses[i] = c
-		}
-
-		// Reference status: plain CDCL on the original clauses.
-		ref := sat.New()
-		for i := 0; i < nvars; i++ {
-			ref.NewVar()
-		}
-		for _, c := range clauses {
-			lits := make([]sat.Lit, len(c))
-			for j, v := range c {
-				lits[j] = lit(v)
-			}
-			ref.AddClause(lits...)
-		}
-		want := ref.Solve()
+		clauses := randomClauses(rng, nvars, 2+rng.Intn(4*nvars), 4)
+		want := plainSolver(nvars, clauses).Solve()
 
 		f := newFormula(nvars, clauses...)
+		frozen := randomFrozen(rng, nvars)
 		var flag sat.StopFlag
 		var wg sync.WaitGroup
 		switch iter % 3 {
@@ -60,10 +35,11 @@ func TestStopFlagMidPreprocess(t *testing.T) {
 			flag.Stop()
 		case 1:
 			// Concurrent flip racing the passes: lands anywhere.
+			delay := time.Duration(rng.Intn(60)) * time.Microsecond
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				time.Sleep(time.Duration(rng.Intn(60)) * time.Microsecond)
+				time.Sleep(delay)
 				flag.Stop()
 			}()
 		case 2:
@@ -73,23 +49,14 @@ func TestStopFlagMidPreprocess(t *testing.T) {
 		if iter%3 == 2 {
 			opts.Budget = int64(1 + rng.Intn(200))
 		}
-		res := Preprocess(f, opts)
+		st, units, _ := solveFrozen(f, opts, frozen)
 		wg.Wait()
 
-		if res.Unsat {
-			if want != sat.Unsat {
-				t.Fatalf("iter %d: halted preprocessing claims unsat, reference says %v", iter, want)
-			}
-			continue
+		if st != want {
+			t.Fatalf("iter %d: status %v after halted preprocessing, reference %v", iter, st, want)
 		}
-		core := sat.New()
-		res.Load(core)
-		got := core.Solve()
-		if got != want {
-			t.Fatalf("iter %d: status %v after halted preprocessing, reference %v", iter, got, want)
-		}
-		if got == sat.Sat {
-			checkModel(t, res.ExtendModel(core.Model()), clauses)
+		if st == sat.Sat {
+			checkFrozenModel(t, nvars, clauses, units)
 		}
 	}
 }

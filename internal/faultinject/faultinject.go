@@ -51,16 +51,8 @@ const (
 	SitePropagate Site = "cdcl-propagate"
 	// SiteDecide fires before every CDCL branching decision.
 	SiteDecide Site = "cdcl-decide"
-	// SiteInprocess fires at the top of every in-search inprocessing run
-	// and before each vivification candidate.
-	SiteInprocess Site = "cdcl-inprocess"
 	// SiteCEGIS fires at the top of every CEGIS refinement round.
 	SiteCEGIS Site = "cegis-round"
-	// SiteIncremental fires at the top of every incremental-session
-	// solve, before the query is encoded into the session's shared
-	// clause database; a mid-session stop must surface as a structured
-	// Unknown while the session stays reusable.
-	SiteIncremental Site = "solver-incremental"
 	// SiteTelemetry fires when a telemetry span is recorded into its
 	// tracer — the telemetry sink seam.
 	SiteTelemetry Site = "telemetry-sink"
@@ -74,8 +66,8 @@ const (
 func Sites() []Site {
 	return []Site{
 		SiteParser, SiteTyping, SiteVCGen, SitePresolve, SiteBitblast,
-		SitePreprocess, SitePropagate, SiteDecide, SiteInprocess,
-		SiteCEGIS, SiteIncremental, SiteTelemetry, SiteCorpusWorker,
+		SitePreprocess, SitePropagate, SiteDecide, SiteCEGIS,
+		SiteTelemetry, SiteCorpusWorker,
 	}
 }
 
@@ -169,14 +161,12 @@ type Stopper interface {
 // stopCapable marks the sites whose Fire call receives a usable
 // Stopper; RandomPlan schedules KindStop/KindDeadline only there.
 var stopCapable = map[Site]bool{
-	SitePresolve:    true,
-	SiteBitblast:    true,
-	SitePreprocess:  true,
-	SitePropagate:   true,
-	SiteDecide:      true,
-	SiteInprocess:   true,
-	SiteCEGIS:       true,
-	SiteIncremental: true,
+	SitePresolve:   true,
+	SiteBitblast:   true,
+	SitePreprocess: true,
+	SitePropagate:  true,
+	SiteDecide:     true,
+	SiteCEGIS:      true,
 }
 
 // StopCapable reports whether KindStop/KindDeadline faults can act at
@@ -226,7 +216,7 @@ func maxHit(s Site) int64 {
 		return 2048
 	case SiteTelemetry:
 		return 512
-	case SitePresolve, SiteBitblast, SitePreprocess, SiteInprocess, SiteCEGIS, SiteIncremental:
+	case SitePresolve, SiteBitblast, SitePreprocess, SiteCEGIS:
 		return 96
 	default:
 		return 24

@@ -74,8 +74,8 @@ func TestCountersFuncExpansion(t *testing.T) {
 			t.Errorf("missing series alive_run_%s", name)
 		}
 	})
-	if fields < 30 {
-		t.Fatalf("counter block has %d fields, expected at least 30", fields)
+	if fields < 28 {
+		t.Fatalf("counter block has %d fields, expected at least 28", fields)
 	}
 	if !strings.Contains(out, "alive_run_conflicts 42\n") {
 		t.Errorf("conflicts value not surfaced:\n%s", out)

@@ -8,8 +8,7 @@ import (
 )
 
 // TestMain fails the package if any solver goroutine leaks past the
-// tests (stop-flag flippers in the inprocessing soundness tests
-// included).
+// tests (stop-flag flippers in the resume tests included).
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }

@@ -111,8 +111,7 @@ type clause struct {
 	tier     int8
 	lbd      int32 // literal block distance (learnt clauses only)
 	activity float64
-	sig      uint64 // subsumption signature; maintained during inprocessing
-	touched  int64  // conflict count at last use in conflict analysis
+	touched  int64 // conflict count at last use in conflict analysis
 }
 
 type watcher struct {
@@ -178,60 +177,21 @@ type Solver struct {
 	solveBase  int64 // s.conflicts at Solve entry, denominator base for sumLBD
 	trailEma   float64
 
-	// Inprocessing state (inprocess.go): schedule, the queue of learnts
-	// not yet screened for subsumption, round-robin vivification
-	// cursors, and the per-run tick budget.
-	nextInprocess int64
-	newLearnts    []*clause
-	vivClauseCur  int
-	vivLearntCur  int
-	ipTicks       int64
-
-	// Inprocessing and clause-database counters.
-	lbdCore          int64
-	dbReductions     int64
-	inprocessings    int64
-	clausesVivified  int64
-	vivifyShrunkLits int64
-	learntsSubsumed  int64
+	// Clause-database counters.
+	lbdCore      int64
+	dbReductions int64
 
 	// MaxConflicts bounds the search; <= 0 means unbounded. When the bound
 	// is hit Solve returns Unknown.
 	MaxConflicts int64
 
-	// DisableInprocess turns off in-search static analysis of the clause
-	// database (vivification, learnt subsumption, root saturation with
-	// garbage collection). The LBD-tiered reduction policy stays on — it
-	// replaces the old size/activity heuristic unconditionally.
-	DisableInprocess bool
-
-	// InprocessConflicts is the number of conflicts between inprocessing
-	// runs (<= 0 means the default). Tests shrink it to force
-	// inprocessing on small instances; since runs only happen at restart
-	// boundaries, values below the restart base interval shrink that
-	// interval too, so the forced schedule is honored even on instances
-	// that would otherwise never restart.
-	InprocessConflicts int64
-
-	// InprocessBudget is the tick budget of one inprocessing run (<= 0
-	// means the default); roughly one tick per literal visited. Budget
-	// exhaustion stops the run early, which is always sound — every
-	// rewrite preserves logical equivalence.
-	InprocessBudget int64
-
-	// OnInprocess, when non-nil, is called at the start of every
-	// inprocessing run; the returned function (may be nil) runs when the
-	// run finishes. The solver façade uses it to record "inprocess"
-	// telemetry spans without the SAT core importing telemetry.
-	OnInprocess func() func()
-
 	// OnSample, when non-nil, is called with a snapshot of the search
 	// internals at every restart boundary and on every Unknown exit
 	// from Solve (budget exhausted or stop-flag fired) — so even a
 	// deadline-killed solve emits at least one sample once search has
-	// begun. Like OnInprocess, the hook keeps the SAT core free of
-	// metrics imports: the observability layer owns what the snapshots
-	// mean. When nil the cost is a single pointer test per restart.
+	// begun. The hook keeps the SAT core free of metrics imports: the
+	// observability layer owns what the snapshots mean. When nil the
+	// cost is a single pointer test per restart.
 	OnSample func(SampleStats)
 
 	// Stop, when non-nil, is polled every stopPollInterval propagations;
@@ -301,21 +261,6 @@ func (s *Solver) LBDCore() int64 { return s.lbdCore }
 // DBReductions returns the number of learned-clause database
 // reductions performed.
 func (s *Solver) DBReductions() int64 { return s.dbReductions }
-
-// Inprocessings returns the number of inprocessing runs taken at
-// restart boundaries.
-func (s *Solver) Inprocessings() int64 { return s.inprocessings }
-
-// ClausesVivified returns the number of clauses shrunk by vivification.
-func (s *Solver) ClausesVivified() int64 { return s.clausesVivified }
-
-// VivifyShrunkLits returns the total number of literals vivification
-// removed.
-func (s *Solver) VivifyShrunkLits() int64 { return s.vivifyShrunkLits }
-
-// LearntsSubsumed returns the number of database clauses deleted by
-// backward subsumption against newly learnt clauses.
-func (s *Solver) LearntsSubsumed() int64 { return s.learntsSubsumed }
 
 // Interrupted reports whether the Stop flag has tripped — after an
 // Unknown result it distinguishes cancellation from conflict-budget
@@ -849,16 +794,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	defer s.backtrackTo(0)
 
 	restartNum := int64(0)
-	baseInterval := int64(100)
-	if !s.DisableInprocess && s.InprocessConflicts > 0 && s.InprocessConflicts < baseInterval {
-		baseInterval = s.InprocessConflicts
-	}
+	const baseInterval = 100
 	startConflicts := s.conflicts
 	if s.nextReduce == 0 {
 		s.nextReduce = reduceBase
-	}
-	if s.nextInprocess == 0 {
-		s.nextInprocess = s.inprocessInterval()
 	}
 
 	for {
@@ -890,19 +829,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		if s.MaxConflicts > 0 && s.conflicts-startConflicts >= s.MaxConflicts {
 			return Unknown
-		}
-		// Restart boundary: the trail is back at level 0, which is where
-		// in-search static analysis of the clause database is sound and
-		// cheap. A root-level refutation during inprocessing ends the
-		// solve outright.
-		if !s.DisableInprocess && s.conflicts >= s.nextInprocess {
-			if !s.inprocess() {
-				return Unsat
-			}
-			if s.Stop.Stopped() {
-				return Unknown
-			}
-			s.nextInprocess = s.conflicts + s.inprocessInterval()
 		}
 	}
 }
@@ -941,9 +867,6 @@ func (s *Solver) search(conflictBudget int64) Status {
 				c := &clause{lits: learnt, learnt: true, touched: s.conflicts, lbd: lbd + 1}
 				s.setLBD(c, lbd)
 				s.learnts = append(s.learnts, c)
-				if !s.DisableInprocess && len(s.newLearnts) < maxNewLearnts {
-					s.newLearnts = append(s.newLearnts, c)
-				}
 				s.attach(c)
 				s.bumpClause(c)
 				if s.value(learnt[0]) == Unassigned {

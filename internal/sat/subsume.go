@@ -1,12 +1,9 @@
 package sat
 
-// This file is the shared subsumption core used by both the CNF
-// preprocessor (internal/cnf, between bit-blasting and search) and the
-// solver's own inprocessing (inprocess.go, during search): 64-bit
-// clause signatures as a subset pre-filter, plus the literal-level
-// subsumption and self-subsumption predicates. It lives here rather
-// than in internal/cnf because cnf already imports sat — factoring the
-// core downward is what lets both layers share one implementation.
+// This file is the subsumption core of the CNF preprocessor
+// (internal/cnf, between bit-blasting and search): 64-bit clause
+// signatures as a subset pre-filter, plus the literal-level subsumption
+// and self-subsumption predicates, over this package's Lit.
 
 // LitSig returns the one-bit bloom signature of a literal.
 func LitSig(l Lit) uint64 { return 1 << (uint32(l) % 64) }

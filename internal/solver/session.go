@@ -1,20 +1,20 @@
-// Incremental solving: a Solver with Incremental set keeps one CDCL
-// core, one bit-blaster, and one staged CNF formula alive across every
-// Check it answers, in the MiniSat assumption-interface tradition (Eén &
-// Sörensson). Each query's verification condition is lowered to its
-// Tseitin root literal r and solved with Solve(r) — the root is never
-// asserted, only assumed. The Tseitin definitions themselves are
-// unguarded — each defines a gate as a function of its inputs and is
-// globally true — so everything the search derives is implied by the
-// clause database alone, independent of any assumption: learned
-// clauses, variable activities, saved phases, and LBD-core clauses all
-// stay sound and carry from one query to the next. Retiring a query is
-// implicit — the next Solve simply assumes a different root — which
-// turns CEGIS refinement rounds into pure assumption flips over a
-// shared, memoized encoding. The one per-query ingredient that is NOT
-// globally true, the presolver's refinement hints, is staged guarded as
-// (¬r ∨ hint): a hint is a semantic consequence of that query's formula
-// being true, so it may only bite in models where r holds.
+// Session solving: every Solver keeps one CDCL core, one bit-blaster,
+// and one staged CNF formula alive across every Check it answers, in the
+// MiniSat assumption-interface tradition (Eén & Sörensson). Each query's
+// verification condition is lowered to its Tseitin root literal r and
+// solved with Solve(r) — the root is never asserted, only assumed. The
+// Tseitin definitions themselves are unguarded — each defines a gate as
+// a function of its inputs and is globally true — so everything the
+// search derives is implied by the clause database alone, independent
+// of any assumption: learned clauses, variable activities, saved
+// phases, and LBD-core clauses all stay sound and carry from one query
+// to the next. Retiring a query is implicit — the next Solve simply
+// assumes a different root — which turns CEGIS refinement rounds into
+// pure assumption flips over a shared, memoized encoding. The one
+// per-query ingredient that is NOT globally true, the presolver's
+// refinement hints, is staged guarded as (¬r ∨ hint): a hint is a
+// semantic consequence of that query's formula being true, so it may
+// only bite in models where r holds.
 //
 // Soundness under preprocessing hinges on frozen variables: before each
 // incremental preprocessing round the session freezes every interface
@@ -31,17 +31,16 @@ import (
 	"alive/internal/absint"
 	"alive/internal/bitblast"
 	"alive/internal/cnf"
-	"alive/internal/faultinject"
 	"alive/internal/sat"
 	"alive/internal/smt"
 	"alive/internal/telemetry"
 )
 
-// session is the persistent incremental-solving state of a Solver. It
-// is created lazily by the first Check and bound to that Check's
-// smt.Builder (hash-consed term pointers key the encoding caches, so
-// terms from another builder would silently miss); a Check with a
-// different builder discards it and starts over.
+// session is the persistent solving state of a Solver. It is created
+// lazily by the first Check that reaches bit-blasting and bound to that
+// Check's smt.Builder (hash-consed term pointers key the encoding
+// caches, so terms from another builder would silently miss); a Check
+// with a different builder discards it and starts over.
 type session struct {
 	b    *smt.Builder
 	core *sat.Solver
@@ -77,8 +76,6 @@ func (g guardedDB) NumClauses() int { return g.db.NumClauses() }
 func (s *Solver) initSession(b *smt.Builder) {
 	core := sat.New()
 	core.Stop = s.Stop
-	core.DisableInprocess = s.DisableInprocess
-	core.InprocessConflicts = s.InprocessConflicts
 	se := &session{b: b, core: core}
 	var db bitblast.ClauseDB = core
 	if !s.DisablePreprocess {
@@ -330,21 +327,15 @@ func bitDiffs(b *smt.Builder, bl *bitblast.Blaster, eq *smt.Term, msbFirst bool)
 	return lits
 }
 
-// checkIncremental is the session-based back half of Check: presolve
-// already ran (blastTerm is the surviving formula), and instead of
-// building a fresh solver the query is encoded into the session's
+// solve is the back half of Check: presolve already ran (blastTerm is
+// the surviving formula), so the query is encoded into the session's
 // shared databases and its root literal is solved under assumption.
-func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm *smt.Term, refined *absint.Analysis) Result {
+func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm *smt.Term, refined *absint.Analysis) Result {
 	if s.sess == nil || s.sess.b != b {
 		s.initSession(b)
 	}
 	se := s.sess
 	warm := se.solves > 0
-
-	faultinject.Fire(faultinject.SiteIncremental, s.Stop)
-	if s.Stop.Stopped() {
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
-	}
 
 	core, form, bl := se.core, se.form, se.bl
 
@@ -436,27 +427,17 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	se.lastClauses = int64(core.NumClauses())
 
 	cspan := qspan.Child("cdcl", "sat")
-	if cspan != nil {
-		core.OnInprocess = func() func() {
-			ispan := cspan.Child("inprocess", "inprocess")
-			return func() { ispan.End() }
-		}
-	} else {
-		core.OnInprocess = nil
-	}
-	// Per-query like OnInprocess: the warm core outlives any one query,
-	// so the sampling hook is refreshed each time rather than pinned at
-	// session creation.
+	// The warm core outlives any one query, so the sampling hook is
+	// refreshed each time rather than pinned at session creation.
 	core.OnSample = s.OnSample
 
 	// Solve the plan: a bit-sliced plan is Unsat only if every sub-query
 	// is, and ends at the first Sat (its model satisfies the whole
-	// formula) or Unknown. Slices run in plan order under the query-wide
-	// conflict budget (which matches the fresh solver's): each refuted
-	// slice leaves its learnts — including the guarded (¬ctx ∨ ¬d_i)
-	// summary — behind for its neighbours, so later slices start from an
-	// already-constrained search space.
-	var delta coreDelta
+	// formula) or Unknown. Slices run in plan order under one query-wide
+	// conflict budget: each refuted slice leaves its learnts — including
+	// the guarded (¬ctx ∨ ¬d_i) summary — behind for its neighbours, so
+	// later slices start from an already-constrained search space.
+	var delta telemetry.Counters
 	st := Unsat
 	remaining := s.MaxConflicts
 	solveOne := func(assumps []sat.Lit, cap int64) Status {
@@ -465,17 +446,16 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 		}
 		s.Stats.IncrementalSolves++
 		s.Stats.AssumptionLits += int64(len(assumps))
-		// Failed-literal probing under this solve's assumptions. A fresh
-		// solver's preprocessor runs probing with the query root asserted
-		// as a unit — the single biggest strength the session gives up by
-		// only ever assuming roots. Probing under the assumptions instead
-		// recovers each implied literal as a guarded clause
-		// (¬assumps ∨ u) the search then propagates at assumption level,
-		// and refutes outright — at zero conflicts — the queries
-		// fresh-mode preprocessing would kill before search. Bit-sliced
-		// plans skip it: their sub-queries lean on saved phases and
-		// learnt locality from the neighbouring slices, which broad
-		// probe-derived clauses perturb more than they help.
+		// Failed-literal probing under this solve's assumptions. The
+		// preprocessor only ever sees the query root as a free variable,
+		// never as an asserted unit, so its own probing cannot use it.
+		// Probing under the assumptions instead recovers each implied
+		// literal as a guarded clause (¬assumps ∨ u) the search then
+		// propagates at assumption level, and refutes outright — at zero
+		// conflicts — the queries whose root alone propagates to a
+		// conflict. Bit-sliced plans skip it: their sub-queries lean on
+		// saved phases and learnt locality from the neighbouring slices,
+		// which broad probe-derived clauses perturb more than they help.
 		if len(plan) == 1 {
 			probed, feasible := core.ProbeUnder(assumps)
 			negCtx := make([]sat.Lit, len(assumps), len(assumps)+1)
@@ -495,11 +475,10 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 		before := coreCounters(core)
 		r := core.Solve(assumps...)
 		se.solves++
-		d := coreCounters(core)
-		d.sub(before)
-		delta.add(d)
+		d := coreCounters(core).Sub(before)
+		delta.Add(d)
 		if s.MaxConflicts > 0 {
-			remaining -= d.conflicts
+			remaining -= d.Conflicts
 		}
 		if r == Unsat && !core.Ok() {
 			// Unsat must come from the assumptions, never from the always-
@@ -522,20 +501,20 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 			break
 		}
 	}
-	delta.addTo(&s.Stats)
+	s.Stats.Add(delta)
 	if cspan != nil {
 		cspan.SetAttr("status", st.String())
 		cspan.SetInt("assumption_solves", int64(len(plan)))
-		cspan.SetInt("propagations", delta.propagations)
-		cspan.SetInt("conflicts", delta.conflicts)
-		cspan.SetInt("decisions", delta.decisions)
-		cspan.SetInt("restarts", delta.restarts)
-		cspan.SetInt("learned_clauses", delta.learned)
+		cspan.SetInt("propagations", delta.Propagations)
+		cspan.SetInt("conflicts", delta.Conflicts)
+		cspan.SetInt("decisions", delta.Decisions)
+		cspan.SetInt("restarts", delta.Restarts)
+		cspan.SetInt("learned_clauses", delta.LearnedClauses)
 		cspan.SetInt("learnts_retained", int64(core.NumLearnts()))
 		cspan.End()
 	}
 
-	res := Result{Status: st, Conflicts: delta.conflicts, Clauses: core.NumClauses(), Rounds: 1}
+	res := Result{Status: st, Conflicts: delta.Conflicts, Clauses: core.NumClauses(), Rounds: 1}
 	switch st {
 	case Sat:
 		// Frozen variables are exact in the core model — elimination
@@ -553,68 +532,16 @@ func (s *Solver) checkIncremental(qspan *telemetry.Span, b *smt.Builder, formula
 	return res
 }
 
-// coreDelta snapshots the cumulative counters of a shared CDCL core so
-// each incremental solve can report only its own work.
-type coreDelta struct {
-	propagations, conflicts, decisions, restarts, learned int64
-	lbdCore, dbReductions, inprocessings                  int64
-	clausesVivified, vivifyShrunkLits, learntsSubsumed    int64
-}
-
-func coreCounters(core *sat.Solver) coreDelta {
-	return coreDelta{
-		propagations:     core.Propagations(),
-		conflicts:        core.Conflicts(),
-		decisions:        core.Decisions(),
-		restarts:         core.Restarts(),
-		learned:          core.Learned(),
-		lbdCore:          core.LBDCore(),
-		dbReductions:     core.DBReductions(),
-		inprocessings:    core.Inprocessings(),
-		clausesVivified:  core.ClausesVivified(),
-		vivifyShrunkLits: core.VivifyShrunkLits(),
-		learntsSubsumed:  core.LearntsSubsumed(),
+// coreCounters snapshots the cumulative counters of the shared CDCL
+// core, so each solve can report only its own work as a difference.
+func coreCounters(core *sat.Solver) telemetry.Counters {
+	return telemetry.Counters{
+		Propagations:   core.Propagations(),
+		Conflicts:      core.Conflicts(),
+		Decisions:      core.Decisions(),
+		Restarts:       core.Restarts(),
+		LearnedClauses: core.Learned(),
+		LBDCore:        core.LBDCore(),
+		DBReductions:   core.DBReductions(),
 	}
-}
-
-func (d *coreDelta) add(o coreDelta) {
-	d.propagations += o.propagations
-	d.conflicts += o.conflicts
-	d.decisions += o.decisions
-	d.restarts += o.restarts
-	d.learned += o.learned
-	d.lbdCore += o.lbdCore
-	d.dbReductions += o.dbReductions
-	d.inprocessings += o.inprocessings
-	d.clausesVivified += o.clausesVivified
-	d.vivifyShrunkLits += o.vivifyShrunkLits
-	d.learntsSubsumed += o.learntsSubsumed
-}
-
-func (d *coreDelta) sub(o coreDelta) {
-	d.propagations -= o.propagations
-	d.conflicts -= o.conflicts
-	d.decisions -= o.decisions
-	d.restarts -= o.restarts
-	d.learned -= o.learned
-	d.lbdCore -= o.lbdCore
-	d.dbReductions -= o.dbReductions
-	d.inprocessings -= o.inprocessings
-	d.clausesVivified -= o.clausesVivified
-	d.vivifyShrunkLits -= o.vivifyShrunkLits
-	d.learntsSubsumed -= o.learntsSubsumed
-}
-
-func (d *coreDelta) addTo(c *telemetry.Counters) {
-	c.Propagations += d.propagations
-	c.Conflicts += d.conflicts
-	c.Decisions += d.decisions
-	c.Restarts += d.restarts
-	c.LearnedClauses += d.learned
-	c.LBDCore += d.lbdCore
-	c.DBReductions += d.dbReductions
-	c.Inprocessings += d.inprocessings
-	c.ClausesVivified += d.clausesVivified
-	c.VivifyShrunkLits += d.vivifyShrunkLits
-	c.LearntsSubsumed += d.learntsSubsumed
 }

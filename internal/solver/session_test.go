@@ -9,11 +9,11 @@ import (
 )
 
 // TestSessionRetirementSoundness interleaves sat and unsat queries
-// through one incremental session: a retired query's guarded clauses
+// through one session: a retired query's guarded clauses
 // must never leak into a later query's answer, in either direction.
 func TestSessionRetirementSoundness(t *testing.T) {
 	b := smt.NewBuilder()
-	s := Solver{Incremental: true}
+	s := Solver{}
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 
@@ -46,12 +46,13 @@ func TestSessionRetirementSoundness(t *testing.T) {
 	}
 }
 
-// TestSessionAgreesWithFreshSolver runs the same query stream through a
-// session and through per-query fresh solvers and demands identical
-// statuses — the unit-level version of the FuzzIncremental invariant.
+// TestSessionAgreesWithFreshSolver runs the same query stream through
+// one shared session and through a new Solver per query (a one-query
+// session each) and demands identical statuses — the unit-level version
+// of the FuzzIncremental invariant.
 func TestSessionAgreesWithFreshSolver(t *testing.T) {
 	b := smt.NewBuilder()
-	sess := Solver{Incremental: true, Miter: true}
+	sess := Solver{Miter: true}
 	x := b.Var("x", 4)
 	y := b.Var("y", 4)
 	bodies := []*smt.Term{
@@ -65,7 +66,7 @@ func TestSessionAgreesWithFreshSolver(t *testing.T) {
 		var fresh Solver
 		dir := fresh.Check(b, body)
 		if inc.Status != dir.Status {
-			t.Fatalf("query %d: %v incremental, %v fresh", i, inc.Status, dir.Status)
+			t.Fatalf("query %d: %v shared session, %v fresh solver", i, inc.Status, dir.Status)
 		}
 	}
 }
@@ -75,7 +76,7 @@ func TestSessionAgreesWithFreshSolver(t *testing.T) {
 // structured Unknown (stopped) promptly, with no panic and no hang.
 func TestSessionStopMidSolve(t *testing.T) {
 	b := smt.NewBuilder()
-	s := Solver{Incremental: true, Stop: &sat.StopFlag{}}
+	s := Solver{Stop: &sat.StopFlag{}}
 
 	// Warm the session with an easy query first, so the stop lands on a
 	// warm solve over an already-populated clause database.
@@ -111,7 +112,7 @@ func TestSessionStopMidSolve(t *testing.T) {
 // easier queries.
 func TestSessionConflictBudget(t *testing.T) {
 	b := smt.NewBuilder()
-	s := Solver{Incremental: true, MaxConflicts: 1}
+	s := Solver{MaxConflicts: 1}
 	r := s.Check(b, hardFactoring(b)...)
 	if r.Status != Unknown || r.Cause != CauseConflictBudget {
 		t.Fatalf("budget-limited session check = %v/%v, want unknown/conflict-budget", r.Status, r.Cause)

@@ -9,7 +9,6 @@ import (
 	"alive/internal/absint"
 	"alive/internal/bitblast"
 	"alive/internal/bv"
-	"alive/internal/cnf"
 	"alive/internal/faultinject"
 	"alive/internal/sat"
 	"alive/internal/smt"
@@ -87,36 +86,17 @@ type Solver struct {
 	// escape hatch and the baseline leg of the bench experiment).
 	DisablePresolve bool
 	// DisablePreprocess turns the CNF preprocessor off: bit-blasted
-	// clauses stream straight into the CDCL core instead of being
-	// staged, simplified (subsumption, variable elimination, blocked
-	// clauses, probing), and reloaded (the -preprocess=off escape hatch
-	// and the baseline leg of the preprocess bench experiment).
+	// clauses stream straight into the session's CDCL core instead of
+	// being staged, simplified (subsumption, variable elimination,
+	// blocked clauses, probing), and loaded (the -preprocess=off escape
+	// hatch and the baseline leg of the preprocess bench experiment).
 	DisablePreprocess bool
-	// DisableInprocess turns the SAT core's in-search static analysis off:
-	// no vivification, learnt subsumption, or root-level clause garbage
-	// collection at restart boundaries (the -inprocess=off escape hatch
-	// and the baseline leg of the inprocess bench experiment).
-	DisableInprocess bool
-	// InprocessConflicts overrides the conflicts-between-inprocessings
-	// schedule of the SAT core (<= 0 means the default). Tests and fuzzers
-	// shrink it to force inprocessing on small instances.
-	InprocessConflicts int64
-	// Incremental switches Check/CheckExistsForall onto a persistent
-	// session (session.go): one CDCL core, bit-blaster, and staged CNF
-	// shared by every query this Solver answers, each lowered to its
-	// Tseitin root literal and solved under assumption. Learned
-	// clauses, phase saving, and memoized Tseitin encodings then carry
-	// across the query stream. All queries must use the same
-	// smt.Builder; a builder change restarts the session. The zero
-	// value (off) keeps the fresh-solver-per-query behavior.
-	Incremental bool
-	// Miter marks the next incremental queries as output-equivalence
-	// obligations, ψ ∧ src ≠ tgt: the session may then decompose the
-	// top-level disequality into per-bit sub-queries solved as
-	// assumption flips (see slicePlan). Equisatisfiable for any
-	// formula, but only worth it when refuting the disequality is the
-	// bulk of the proof, so the caller flips this per query. Ignored
-	// without Incremental.
+	// Miter marks the next queries as output-equivalence obligations,
+	// ψ ∧ src ≠ tgt: the session may then decompose the top-level
+	// disequality into per-bit sub-queries solved as assumption flips
+	// (see slicePlan). Equisatisfiable for any formula, but only worth
+	// it when refuting the disequality is the bulk of the proof, so the
+	// caller flips this per query.
 	Miter bool
 	// Stats accumulates the telemetry counters — presolver outcomes, SAT
 	// core work, CNF sizes, CEGIS rounds — across every query this
@@ -127,15 +107,15 @@ type Solver struct {
 	// records cegis-round spans. Nil (the default) skips all span
 	// bookkeeping at nil-receiver cost.
 	Span *telemetry.Span
-	// OnSample, when non-nil, receives SAT-core search snapshots at
-	// restart boundaries and Unknown exits (sat.Solver.OnSample),
-	// whichever core — fresh per query or persistent session — runs the
-	// search. The observability layer uses it to fill per-query sample
-	// rings and live gauges; nil costs one pointer test per restart.
+	// OnSample, when non-nil, receives the session core's search
+	// snapshots at restart boundaries and Unknown exits
+	// (sat.Solver.OnSample). The observability layer uses it to fill
+	// per-query sample rings and live gauges; nil costs one pointer test
+	// per restart.
 	OnSample func(sat.SampleStats)
 
-	// sess is the lazily created incremental session (nil until the
-	// first Check with Incremental set).
+	// sess is the lazily created solving session (nil until the first
+	// query that reaches bit-blasting).
 	sess *session
 }
 
@@ -185,13 +165,16 @@ func conjuncts(t *smt.Term) []*smt.Term {
 // that reach the CNF are seeded as unit-clause hints; being
 // consequences of the formula they never change its model set.
 //
-// Unless DisablePreprocess is set, the bit-blasted clauses are then
-// staged in a cnf.Formula and statically simplified (subsumption,
-// self-subsuming resolution, bounded variable elimination, blocked
-// clause elimination, failed-literal probing) before the surviving
-// clauses load into the CDCL core; Sat models are reconstructed through
-// the preprocessor's extension stack so every variable still reads an
-// exact value.
+// A query that survives presolve is answered by the Solver's session
+// (session.go): one CDCL core, bit-blaster and staged CNF shared by
+// every query this Solver answers, each query lowered to its Tseitin
+// root literal and solved under assumption, so a lone query is a
+// one-query session. Unless DisablePreprocess is set, the bit-blasted
+// clauses are staged in a cnf.Formula and statically simplified
+// (subsumption, self-subsuming resolution, bounded variable
+// elimination, blocked clause elimination, failed-literal probing)
+// before they load into the core. A query built on a different
+// smt.Builder than the previous one restarts the session.
 func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	formula := b.And(assertions...)
 	s.Stats.Checks++
@@ -277,144 +260,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 		}
 	}
 
-	if s.Incremental {
-		return s.checkIncremental(qspan, b, formula, blastTerm, refined)
-	}
-
-	core := sat.New()
-	core.MaxConflicts = s.MaxConflicts
-	core.Stop = s.Stop
-	core.DisableInprocess = s.DisableInprocess
-	core.InprocessConflicts = s.InprocessConflicts
-	core.OnSample = s.OnSample
-	// The bit-blaster lowers into the CDCL core directly, or — when the
-	// preprocessor is on — into a staged clause database that is
-	// statically simplified and then loaded into the core.
-	var db bitblast.ClauseDB = core
-	var form *cnf.Formula
-	if !s.DisablePreprocess {
-		form = cnf.NewFormula()
-		db = form
-	}
-	bl := bitblast.New(db)
-	bl.Stop = s.Stop
-	bspan := qspan.Child("bitblast", "bitblast")
-	if stopped := assertStopped(bl, blastTerm); stopped {
-		bspan.End()
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
-	}
-	hintsBefore := s.Stats.HintLits
-	if refined != nil {
-		s.seedHints(db, bl, refined)
-	}
-	if bspan != nil {
-		bst := bl.EncodeStats()
-		bspan.SetInt("cnf_vars", int64(db.NumVars()))
-		bspan.SetInt("cnf_clauses", int64(db.NumClauses()))
-		bspan.SetInt("gates", int64(bst.Gates))
-		bspan.SetInt("bool_terms", int64(bst.BoolTerms))
-		bspan.SetInt("bv_terms", int64(bst.BVTerms))
-		bspan.SetInt("hint_lits", s.Stats.HintLits-hintsBefore)
-		bspan.End()
-	}
-
-	var pre *cnf.Result
-	if form != nil {
-		ppspan := qspan.Child("preprocess", "preprocess")
-		pre = cnf.Preprocess(form, cnf.Options{Stop: s.Stop})
-		pst := pre.Stats
-		s.Stats.VarsEliminated += pst.VarsEliminated
-		s.Stats.ClausesSubsumed += pst.ClausesSubsumed
-		s.Stats.ClausesStrengthened += pst.ClausesStrengthened
-		s.Stats.ClausesBlocked += pst.ClausesBlocked
-		s.Stats.ProbeUnits += pst.ProbeUnits
-		if ppspan != nil {
-			ppspan.SetInt("clauses_in", int64(pst.ClausesIn))
-			ppspan.SetInt("clauses_out", int64(pst.ClausesOut))
-			ppspan.SetInt("rounds", pst.Rounds)
-			ppspan.SetInt("vars_eliminated", pst.VarsEliminated)
-			ppspan.SetInt("clauses_subsumed", pst.ClausesSubsumed)
-			ppspan.SetInt("clauses_strengthened", pst.ClausesStrengthened)
-			ppspan.SetInt("clauses_blocked", pst.ClausesBlocked)
-			ppspan.SetInt("probe_units", pst.ProbeUnits)
-			if pre.Unsat {
-				ppspan.SetAttr("outcome", "refuted")
-			}
-			ppspan.End()
-		}
-		if pre.Unsat {
-			// Preprocessing alone refuted the formula (every rewrite
-			// preserves satisfiability): no CDCL run.
-			return Result{Status: Unsat, Rounds: 1}
-		}
-		if s.Stop.Stopped() {
-			return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
-		}
-		pre.Load(core)
-	}
-
-	s.Stats.CDCLRuns++
-	cspan := qspan.Child("cdcl", "sat")
-	if cspan != nil {
-		// Each inprocessing run nests as a child span under the CDCL span,
-		// so Chrome traces show where in the search the static analysis
-		// ran and what it cost.
-		core.OnInprocess = func() func() {
-			ispan := cspan.Child("inprocess", "inprocess")
-			return func() { ispan.End() }
-		}
-	}
-	st := core.Solve()
-	s.Stats.CNFVars += int64(core.NumVars())
-	s.Stats.CNFClauses += int64(core.NumClauses())
-	s.Stats.Propagations += core.Propagations()
-	s.Stats.Conflicts += core.Conflicts()
-	s.Stats.Decisions += core.Decisions()
-	s.Stats.Restarts += core.Restarts()
-	s.Stats.LearnedClauses += core.Learned()
-	s.Stats.LBDCore += core.LBDCore()
-	s.Stats.DBReductions += core.DBReductions()
-	s.Stats.Inprocessings += core.Inprocessings()
-	s.Stats.ClausesVivified += core.ClausesVivified()
-	s.Stats.VivifyShrunkLits += core.VivifyShrunkLits()
-	s.Stats.LearntsSubsumed += core.LearntsSubsumed()
-	if cspan != nil {
-		cspan.SetAttr("status", st.String())
-		cspan.SetInt("propagations", core.Propagations())
-		cspan.SetInt("conflicts", core.Conflicts())
-		cspan.SetInt("decisions", core.Decisions())
-		cspan.SetInt("restarts", core.Restarts())
-		cspan.SetInt("learned_clauses", core.Learned())
-		cspan.SetInt("lbd_core", core.LBDCore())
-		cspan.SetInt("db_reductions", core.DBReductions())
-		cspan.SetInt("inprocessings", core.Inprocessings())
-		cspan.SetInt("clauses_vivified", core.ClausesVivified())
-		cspan.SetInt("vivify_shrunk_lits", core.VivifyShrunkLits())
-		cspan.SetInt("learnts_subsumed", core.LearntsSubsumed())
-		cspan.End()
-	}
-	res := Result{Status: st, Conflicts: core.Conflicts(), Clauses: core.NumClauses(), Rounds: 1}
-	if st == Sat {
-		// Extract over the ORIGINAL formula's variables: anything the
-		// simplifier erased is unconstrained and reads as the default.
-		// When the preprocessor ran, the core's model covers only the
-		// simplified formula; replaying the reconstruction stack extends
-		// it to a model of the original clauses, so variables removed by
-		// elimination or blocked clauses still read exact values.
-		value := core.ValueOf
-		if pre != nil {
-			ext := pre.ExtendModel(core.Model())
-			value = func(v int) bool { return v >= 0 && v < len(ext) && ext[v] }
-		}
-		res.Model = s.extractModel(bl, collectVars(formula), value)
-	} else if st == Unknown {
-		if core.Interrupted() {
-			res.Cause = CauseStopped
-		} else {
-			res.Cause = CauseConflictBudget
-		}
-	}
-	return res
+	return s.solve(qspan, b, formula, blastTerm, refined)
 }
 
 // seedHints adds unit clauses for refinement facts about subterms that
@@ -456,22 +302,6 @@ func (s *Solver) seedHints(core bitblast.ClauseDB, bl *bitblast.Blaster, an *abs
 			}
 		}
 	})
-}
-
-// assertStopped lowers formula into bl, converting the bit-blaster's
-// ErrStopped panic into a true return; any other panic propagates.
-func assertStopped(bl *bitblast.Blaster, formula *smt.Term) (stopped bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r == bitblast.ErrStopped {
-				stopped = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	bl.Assert(formula)
-	return false
 }
 
 func (s *Solver) extractModel(bl *bitblast.Blaster, vars map[string]*smt.Term, value func(v int) bool) *smt.Model {

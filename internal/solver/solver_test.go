@@ -163,7 +163,7 @@ func TestExistsForallOddCounterexample(t *testing.T) {
 }
 
 // ∀x ∃y: y ^ x == 0 is valid (pick y = x); negation must be Unsat and
-// exercises multiple CEGIS rounds.
+// takes one CEGIS round per value of x (256 rounds in one session).
 func TestExistsForallXorInverse(t *testing.T) {
 	b := smt.NewBuilder()
 	var s Solver

@@ -57,23 +57,14 @@ type Counters struct {
 	CNFVars    int64 `json:"cnf_vars"`
 	CNFClauses int64 `json:"cnf_clauses"`
 
-	// In-search static analysis of the clause database (internal/sat
-	// inprocessing), summed over every CDCL run.
+	// LBD-tiered learned-clause database of the SAT core, summed over
+	// every CDCL run.
 
 	// LBDCore counts learnt clauses that entered the core tier (LBD ≤ 3
 	// at learn time or by later improvement).
 	LBDCore int64 `json:"lbd_core"`
 	// DBReductions counts learned-clause database reductions.
 	DBReductions int64 `json:"db_reductions"`
-	// Inprocessings counts inprocessing runs at restart boundaries.
-	Inprocessings int64 `json:"inprocessings"`
-	// ClausesVivified counts clauses shrunk by in-search vivification.
-	ClausesVivified int64 `json:"clauses_vivified"`
-	// VivifyShrunkLits counts literals removed by vivification.
-	VivifyShrunkLits int64 `json:"vivify_shrunk_lits"`
-	// LearntsSubsumed counts database clauses deleted by backward
-	// subsumption against newly learnt clauses.
-	LearntsSubsumed int64 `json:"learnts_subsumed"`
 
 	// CNF preprocessor totals (internal/cnf), summed over every query
 	// that reached the clause database.
@@ -96,8 +87,8 @@ type Counters struct {
 	// CEGISRounds counts refinement rounds of the exists-forall engine.
 	CEGISRounds int64 `json:"cegis_rounds"`
 
-	// Incremental-session totals (internal/solver session.go), all zero
-	// when `-incremental=off`.
+	// Session totals (internal/solver session.go): every query that
+	// reaches the SAT core is a session solve.
 
 	// IncrementalSolves counts CDCL runs answered by a persistent
 	// session's shared core (every session solve, warm or cold).
@@ -139,10 +130,6 @@ var counterFields = []struct {
 	{"cnf_clauses", func(c *Counters) *int64 { return &c.CNFClauses }},
 	{"lbd_core", func(c *Counters) *int64 { return &c.LBDCore }},
 	{"db_reductions", func(c *Counters) *int64 { return &c.DBReductions }},
-	{"inprocessings", func(c *Counters) *int64 { return &c.Inprocessings }},
-	{"clauses_vivified", func(c *Counters) *int64 { return &c.ClausesVivified }},
-	{"vivify_shrunk_lits", func(c *Counters) *int64 { return &c.VivifyShrunkLits }},
-	{"learnts_subsumed", func(c *Counters) *int64 { return &c.LearntsSubsumed }},
 	{"vars_eliminated", func(c *Counters) *int64 { return &c.VarsEliminated }},
 	{"clauses_subsumed", func(c *Counters) *int64 { return &c.ClausesSubsumed }},
 	{"clauses_strengthened", func(c *Counters) *int64 { return &c.ClausesStrengthened }},

@@ -73,9 +73,7 @@ func chaosCorpus(t testing.TB) []*ir.Transform {
 // telemetry-sink site is live) on a small worker pool.
 func runChaos(ts []*ir.Transform) ([]Result, CorpusStats) {
 	return RunCorpus(context.Background(), ts, CorpusOptions{
-		// InprocessConflicts 1 forces inprocessing at every restart so the
-		// cdcl-inprocess site is reachable even on this tiny corpus.
-		Verify:  Options{Widths: []int{4, 8}, MaxAssignments: 2, Trace: telemetry.New(), InprocessConflicts: 1},
+		Verify:  Options{Widths: []int{4, 8}, MaxAssignments: 2, Trace: telemetry.New()},
 		Workers: 4,
 	})
 }

@@ -112,6 +112,20 @@ func TestRunCorpusInterrupt(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// Only the first three transforms may finish before the cancel:
+	// every later one waits after typing until it has fired. Without the
+	// gate two workers can verify all 24 trivial transforms before the
+	// third in-order delivery cancels, and nothing is left to skip.
+	gated := map[*ir.Transform]bool{}
+	for _, tr := range ts[3:] {
+		gated[tr] = true
+	}
+	testHookAfterTyping = func(tr *ir.Transform) {
+		if gated[tr] {
+			<-ctx.Done()
+		}
+	}
+	defer func() { testHookAfterTyping = nil }()
 
 	before := runtime.NumGoroutine()
 	delivered := 0

@@ -11,20 +11,36 @@ import (
 	"alive/internal/vcgen"
 )
 
-// FuzzIncremental differentially checks the assumption-based session
-// layer on real verification-condition encodings: every VC body of a
-// type assignment is solved twice, once through one persistent
-// incremental session (queries as assumption flips over a shared core
+// heavySeeds names the conflict-heaviest corpus transforms from the
+// perf baseline (BENCH_verify.json): their queries restart often and
+// leave the most learnt clauses behind for the next query.
+var heavySeeds = map[string]bool{
+	"MulDivRem:udiv-udiv-const":   true,
+	"MulDivRem:srem-of-nsw-mul":   true,
+	"AddSub:add-mul-factor":       true,
+	"MulDivRem:sdiv-of-nsw-mul":   true,
+	"MulDivRem:mul-nuw-nuw-const": true,
+	"Shifts:shl-mul-combine":      true,
+	"MulDivRem:mul-shl-hoist":     true,
+	"MulDivRem:urem-narrow-zext":  true,
+	"MulDivRem:mul-neg-rhs":       true,
+	"AddSub:sub-from-zero-mul":    true,
+}
+
+// FuzzIncremental differentially checks session reuse on real
+// verification-condition encodings: every VC body of a type assignment
+// is solved twice, once through one shared solver that answers the
+// whole query stream (queries as assumption flips over a shared core
 // and bit-blaster — exactly what verifyOne does per assignment) and
-// once with a fresh solver per query. Decided statuses must agree (a
-// retired query's guarded clauses can never constrain a later query),
-// and every Sat model must satisfy its formula under concrete
-// evaluation — the session extracts models without reconstruction, so
-// a frozen-variable leak in the incremental CNF preprocessor shows up
-// here as an invalid model.
+// once by a new solver per query, whose session holds that query
+// alone. Decided statuses must agree (a retired query's guarded
+// clauses can never constrain a later query), and every Sat model must
+// satisfy its formula under concrete evaluation — sessions extract
+// models without reconstruction, so a frozen-variable leak in the
+// incremental CNF preprocessor shows up here as an invalid model.
 func FuzzIncremental(f *testing.F) {
 	for i, e := range suite.All() {
-		if inprocessHeavySeeds[e.Name] || i%7 == 0 {
+		if heavySeeds[e.Name] || i%7 == 0 {
 			f.Add(e.Text)
 		}
 	}
@@ -66,23 +82,25 @@ func FuzzIncremental(f *testing.F) {
 			// One session answers the whole query stream, like verifyOne
 			// does for the conditions of a type assignment — value
 			// disequalities marked as miters so bit-slicing is covered.
-			sess := solver.Solver{MaxConflicts: 20000, Incremental: true}
+			shared := solver.Solver{MaxConflicts: 20000}
 			for _, q := range bodies {
 				body := q.body
-				sess.Miter = q.miter
-				inc := sess.Check(b, body)
+				shared.Miter = q.miter
+				inc := shared.Check(b, body)
+				// The fresh leg solves each query whole, never bit-sliced,
+				// so it also cross-checks the shared leg's slice plans.
 				fresh := solver.Solver{MaxConflicts: 20000}
 				dir := fresh.Check(b, body)
 				if inc.Status == solver.Unknown || dir.Status == solver.Unknown {
 					continue
 				}
 				if inc.Status != dir.Status {
-					t.Fatalf("status %v incremental, %v fresh-solver, for body of:\n%s", inc.Status, dir.Status, src)
+					t.Fatalf("status %v shared solver, %v fresh solver, for body of:\n%s", inc.Status, dir.Status, src)
 				}
 				for _, leg := range []struct {
 					name string
 					res  solver.Result
-				}{{"incremental", inc}, {"fresh", dir}} {
+				}{{"shared", inc}, {"fresh", dir}} {
 					if leg.res.Status != solver.Sat {
 						continue
 					}

@@ -77,11 +77,14 @@ func TransformHash(t *ir.Transform) string {
 // optionsFingerprint captures the Options fields that change what a
 // verdict means. Budgets and deadlines are deliberately excluded: they
 // only shape which runs end Unknown, and Unknowns are never journaled.
+// -resume compares the string verbatim, so a journal whose header was
+// written with a different field list (an option added or removed since)
+// is rejected rather than trusted.
 func optionsFingerprint(o Options) string {
 	o = o.withDefaults()
-	return fmt.Sprintf("widths=%v divmul=%d ptr=%d maxasg=%d simplify=%t lint=%t presolve=%t preprocess=%t inprocess=%t",
+	return fmt.Sprintf("widths=%v divmul=%d ptr=%d maxasg=%d simplify=%t lint=%t presolve=%t preprocess=%t",
 		o.Widths, o.DivMulMaxWidth, o.PtrWidth, o.MaxAssignments,
-		!o.DisableSimplify, o.Lint, !o.DisablePresolve, !o.DisablePreprocess, !o.DisableInprocess)
+		!o.DisableSimplify, o.Lint, !o.DisablePresolve, !o.DisablePreprocess)
 }
 
 // CreateJournal starts a fresh journal at path (truncating any existing

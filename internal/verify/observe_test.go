@@ -13,6 +13,7 @@ import (
 
 	"alive/internal/metrics"
 	"alive/internal/parser"
+	"alive/internal/telemetry"
 )
 
 // readFlight parses one flight artifact into its header and sample
@@ -104,8 +105,10 @@ func TestFlightArtifactOnDeadline(t *testing.T) {
 	if hdr.GaveUpAssignment == "" || hdr.GaveUpCondition == "" {
 		t.Fatalf("give-up point missing: %+v", hdr)
 	}
-	if len(hdr.Counters) < 30 {
-		t.Fatalf("counters in header = %d, want the full block", len(hdr.Counters))
+	full := 0
+	(telemetry.Counters{}).Each(func(string, int64) { full++ })
+	if len(hdr.Counters) != full {
+		t.Fatalf("counters in header = %d, want the full block of %d", len(hdr.Counters), full)
 	}
 	if len(samples) == 0 {
 		t.Fatal("no solver samples retained — the OnSample hook never fired")

@@ -15,9 +15,9 @@ import (
 // verification-condition encodings: for each VC-shaped formula the
 // solver is run with preprocessing on and off. Decided statuses must
 // agree (preprocessing is equisatisfiable by construction), and every
-// Sat model — including the reconstructed one, whose eliminated and
-// blocked variables were restored from the extension stack — must
-// actually satisfy the formula under concrete evaluation.
+// Sat model — including the preprocessed one, read straight off the
+// frozen variables with no reconstruction — must actually satisfy the
+// formula under concrete evaluation.
 func FuzzPreprocess(f *testing.F) {
 	for i, e := range suite.All() {
 		if i%5 == 0 { // a spread of seeds, not the whole corpus

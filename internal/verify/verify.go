@@ -155,20 +155,6 @@ type Options struct {
 	// layer (the -preprocess=off escape hatch): bit-blasted clauses go
 	// straight to CDCL search without static simplification.
 	DisablePreprocess bool
-	// DisableInprocess turns off the SAT core's in-search static
-	// analysis (the -inprocess=off escape hatch): no vivification,
-	// learnt subsumption, or clause garbage collection during search.
-	DisableInprocess bool
-	// InprocessConflicts overrides the SAT core's conflicts-between-
-	// inprocessings schedule (<= 0 means the default). Tests and
-	// fuzzers shrink it to force inprocessing on small instances.
-	InprocessConflicts int64
-	// DisableIncremental turns off incremental assumption-based solving
-	// (the -incremental=off escape hatch): each solver query gets a
-	// fresh CDCL core and bit-blaster instead of sharing one
-	// per-type-assignment session whose learned clauses, saved phases,
-	// and memoized encodings carry across the query stream.
-	DisableIncremental bool
 	// Trace, when non-nil, records hierarchical spans for every pipeline
 	// phase (lint, typing, vcgen, presolve, bitblast, CDCL, CEGIS) into
 	// the tracer; export with Tracer.WriteChromeTrace. Nil (the default)
@@ -589,18 +575,15 @@ func verifyOne(t *ir.Transform, asg *typing.Assignment, opts Options, maxConflic
 	}
 	vspan.SetInt("conditions", int64(len(conds)))
 	vspan.End()
+	// One solver session per type assignment: every condition and CEGIS
+	// round below shares this solver's core, so their VCs — built on one
+	// Builder and sharing most of their term DAG — become assumption
+	// flips over a common encoding.
 	sol := solver.Solver{
-		MaxConflicts:       maxConflicts,
-		Stop:               &g.flag,
-		DisablePresolve:    opts.DisablePresolve,
-		DisablePreprocess:  opts.DisablePreprocess,
-		DisableInprocess:   opts.DisableInprocess,
-		InprocessConflicts: opts.InprocessConflicts,
-		// One incremental session per type assignment: every condition
-		// and CEGIS round below shares this solver's core, so their VCs
-		// — built on one Builder and sharing most of their term DAG —
-		// become assumption flips over a common encoding.
-		Incremental: !opts.DisableIncremental,
+		MaxConflicts:      maxConflicts,
+		Stop:              &g.flag,
+		DisablePresolve:   opts.DisablePresolve,
+		DisablePreprocess: opts.DisablePreprocess,
 	}
 	if testHookSolver != nil {
 		testHookSolver(&sol)
