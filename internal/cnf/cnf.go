@@ -222,14 +222,6 @@ func (f *Formula) AddClause(lits ...sat.Lit) bool {
 	return true
 }
 
-// delete marks c dead. Occurrence lists are cleaned lazily.
-func (f *Formula) delete(c *clause) {
-	if !c.deleted {
-		c.deleted = true
-		f.live--
-	}
-}
-
 // markDirty queues the loaded clause at index ci for re-sending: it was
 // strengthened after the core received it.
 func (f *Formula) markDirty(ci int) {

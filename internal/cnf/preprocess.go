@@ -78,10 +78,20 @@ type prep struct {
 	// are dropped lazily by occList. Eliminated-variable marks live on
 	// the Formula so they persist across the repeated Preprocess calls
 	// of an incremental session.
-	occ    [][]int
+	occ [][]int
+	// stale[int(lit)] is set when occ[lit] may hold a stale entry: a
+	// clause containing lit was deleted, or lit was stripped from one.
+	// An unmarked list holds only live entries, so occList returns it
+	// without rescanning.
+	stale  []bool
 	budget int64
 	stop   *sat.StopFlag
 	stats  *Stats
+	// resolvents holds the candidate resolvents of the variable
+	// eliminate is trying, back to back, and resolventEnds where each
+	// one ends; both are reused from one candidate to the next.
+	resolvents    []sat.Lit
+	resolventEnds []int
 }
 
 // Preprocess runs the pass pipeline over f in place to a fixpoint (or
@@ -115,6 +125,7 @@ func Preprocess(f *Formula, opts Options) *Result {
 	p := &prep{
 		f:      f,
 		occ:    make([][]int, 2*(f.nvars+1)),
+		stale:  make([]bool, 2*(f.nvars+1)),
 		budget: budget,
 		stop:   opts.Stop,
 		stats:  &res.Stats,
@@ -166,10 +177,14 @@ func (p *prep) halted() bool { return p.budget <= 0 || p.stop.Stopped() }
 
 func contains(lits []sat.Lit, l sat.Lit) bool { return sat.ContainsLit(lits, l) }
 
-// occList returns the live occurrence list of l, compacting out stale
-// entries in place.
+// occList returns the live occurrence list of l. A list marked stale
+// is compacted in place first; the others hold only live entries.
 func (p *prep) occList(l sat.Lit) []int {
 	lst := p.occ[l]
+	if !p.stale[l] {
+		return lst
+	}
+	p.stale[l] = false
 	out := lst[:0]
 	for _, ci := range lst {
 		c := p.f.clauses[ci]
@@ -180,6 +195,34 @@ func (p *prep) occList(l sat.Lit) []int {
 	}
 	p.occ[l] = out
 	return out
+}
+
+// delete removes c from the formula and marks the occurrence lists of
+// its literals stale. Every deletion goes through here, so an unmarked
+// list never holds a deleted clause.
+func (p *prep) delete(c *clause) {
+	if c.deleted {
+		return
+	}
+	c.deleted = true
+	p.f.live--
+	for _, l := range c.lits {
+		p.stale[l] = true
+	}
+}
+
+// strip removes the literal l from c and marks l's occurrence list
+// stale.
+func (p *prep) strip(c *clause, l sat.Lit) {
+	out := c.lits[:0]
+	for _, x := range c.lits {
+		if x != l {
+			out = append(out, x)
+		}
+	}
+	c.lits = out
+	c.sig = computeSig(out)
+	p.stale[l] = true
 }
 
 // addClause routes a derived clause (resolvent) through the formula's
@@ -207,22 +250,15 @@ func (p *prep) saturate() {
 		p.stats.Units++
 		for _, ci := range p.occList(l) {
 			p.spend(1)
-			f.delete(f.clauses[ci])
+			p.delete(f.clauses[ci])
 		}
 		for _, ci := range p.occList(l.Not()) {
 			c := f.clauses[ci]
 			p.spend(len(c.lits))
-			out := c.lits[:0]
-			for _, x := range c.lits {
-				if x != l.Not() {
-					out = append(out, x)
-				}
-			}
-			c.lits = out
-			c.sig = computeSig(out)
-			if len(out) == 1 {
-				f.delete(c)
-				if !f.assign(out[0]) {
+			p.strip(c, l.Not())
+			if len(c.lits) == 1 {
+				p.delete(c)
+				if !f.assign(c.lits[0]) {
 					return
 				}
 			}
@@ -278,7 +314,7 @@ func (p *prep) subsume() int64 {
 				continue
 			}
 			if subsumes(c.lits, d.lits) {
-				f.delete(d)
+				p.delete(d)
 				p.stats.ClausesSubsumed++
 				changed++
 			}
@@ -303,19 +339,12 @@ func (p *prep) subsume() int64 {
 				if !strengthens(c.lits, l, d.lits) {
 					continue
 				}
-				out := d.lits[:0]
-				for _, x := range d.lits {
-					if x != l.Not() {
-						out = append(out, x)
-					}
-				}
-				d.lits = out
-				d.sig = computeSig(out)
+				p.strip(d, l.Not())
 				p.stats.ClausesStrengthened++
 				changed++
-				if len(out) == 1 {
-					f.delete(d)
-					if !f.assign(out[0]) {
+				if len(d.lits) == 1 {
+					p.delete(d)
+					if !f.assign(d.lits[0]) {
 						return changed
 					}
 					p.saturate()
@@ -337,10 +366,12 @@ func subsumes(c, d []sat.Lit) bool { return sat.Subsumes(c, d) }
 // strengthens reports (c \ {l}) ∪ {¬l} ⊆ d (shared core in internal/sat).
 func strengthens(c []sat.Lit, l sat.Lit, d []sat.Lit) bool { return sat.Strengthens(c, l, d) }
 
-// resolve returns the resolvent of a and b on variable v, or ok=false
-// when it is tautological.
-func resolve(a, b []sat.Lit, v int) (out []sat.Lit, ok bool) {
-	out = make([]sat.Lit, 0, len(a)+len(b)-2)
+// resolve appends the resolvent of a and b on variable v to buf. When
+// the resolvent is tautological it reports ok=false and returns buf
+// unchanged.
+func resolve(buf, a, b []sat.Lit, v int) (out []sat.Lit, ok bool) {
+	start := len(buf)
+	out = buf
 	for _, l := range a {
 		if l.Var() != v {
 			out = append(out, l)
@@ -350,10 +381,10 @@ func resolve(a, b []sat.Lit, v int) (out []sat.Lit, ok bool) {
 		if l.Var() == v {
 			continue
 		}
-		if contains(out, l.Not()) {
-			return nil, false
+		if contains(out[start:], l.Not()) {
+			return buf, false
 		}
-		if !contains(out, l) {
+		if !contains(out[start:], l) {
 			out = append(out, l)
 		}
 	}
@@ -386,18 +417,19 @@ func (p *prep) eliminate() int64 {
 			continue
 		}
 		limit := len(pos) + len(neg)
-		resolvents := make([][]sat.Lit, 0, limit)
+		p.resolvents, p.resolventEnds = p.resolvents[:0], p.resolventEnds[:0]
 		feasible := true
 		for _, pi := range pos {
 			for _, ni := range neg {
 				cp, cn := f.clauses[pi], f.clauses[ni]
 				p.spend(len(cp.lits) + len(cn.lits))
-				r, ok := resolve(cp.lits, cn.lits, v)
+				var ok bool
+				p.resolvents, ok = resolve(p.resolvents, cp.lits, cn.lits, v)
 				if !ok {
 					continue
 				}
-				resolvents = append(resolvents, r)
-				if len(resolvents) > limit {
+				p.resolventEnds = append(p.resolventEnds, len(p.resolvents))
+				if len(p.resolventEnds) > limit {
 					feasible = false
 					break
 				}
@@ -410,18 +442,20 @@ func (p *prep) eliminate() int64 {
 			continue
 		}
 		for _, ci := range pos {
-			f.delete(f.clauses[ci])
+			p.delete(f.clauses[ci])
 		}
 		for _, ci := range neg {
-			f.delete(f.clauses[ci])
+			p.delete(f.clauses[ci])
 		}
 		p.occ[lp] = nil
 		p.occ[ln] = nil
 		f.elim[v] = true
 		p.stats.VarsEliminated++
 		changed++
-		for _, r := range resolvents {
-			p.addClause(r)
+		start := 0
+		for _, end := range p.resolventEnds {
+			p.addClause(p.resolvents[start:end])
+			start = end
 			if !f.ok {
 				return changed
 			}
@@ -466,7 +500,7 @@ func (p *prep) blocked() int64 {
 				}
 			}
 			if isBlocked {
-				f.delete(c)
+				p.delete(c)
 				p.stats.ClausesBlocked++
 				changed++
 				break

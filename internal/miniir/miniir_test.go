@@ -270,6 +270,45 @@ func TestPeepholeHasOneUse(t *testing.T) {
 	}
 }
 
+// TestPeepholeWrittenTypes: a transform with a written type is proved
+// only at that width, so its matcher must not fire at any other.
+// MulDivRem:mul-bool-and, proved at i1, once fired on an i64 mul and
+// turned 3*5 into 1.
+func TestPeepholeWrittenTypes(t *testing.T) {
+	mul := compile(t, "Name: MulDivRem:mul-bool-and\n%r = mul i1 %x, %y\n=>\n%r = and i1 %x, %y")
+	for _, tc := range []struct {
+		width      int
+		fired      int
+		x, y, want uint64
+	}{
+		{1, 1, 1, 1, 1},
+		{64, 0, 3, 5, 15},
+	} {
+		b := NewBuilder("f", tc.width, tc.width)
+		f := b.Ret(b.Bin(OpMul, 0, b.Param(0), b.Param(1)))
+		if fired := NewPass([]*CompiledTransform{mul}).RunFunction(f); fired != tc.fired {
+			t.Errorf("mul i%d: fired = %d, want %d", tc.width, fired, tc.fired)
+		}
+		got, err := Interpret(f, []bv.Vec{bv.New(tc.width, tc.x), bv.New(tc.width, tc.y)})
+		if err != nil || got.V.Uint64() != tc.want {
+			t.Errorf("mul i%d %d, %d = %v (err %v), want %d", tc.width, tc.x, tc.y, got.V, err, tc.want)
+		}
+	}
+
+	zext := compile(t, "Name: zext-bool\n%r = zext i1 %b to i8\n=>\n%r = select %b, i8 1, 0")
+	for _, tc := range []struct{ from, to, fired int }{
+		{1, 8, 1},
+		{1, 16, 0}, // result type differs
+		{2, 8, 0},  // operand type differs
+	} {
+		b := NewBuilder("f", tc.from)
+		f := b.Ret(b.Conv(OpZExt, b.Param(0), tc.to))
+		if fired := NewPass([]*CompiledTransform{zext}).RunFunction(f); fired != tc.fired {
+			t.Errorf("zext i%d to i%d: fired = %d, want %d", tc.from, tc.to, fired, tc.fired)
+		}
+	}
+}
+
 func TestPeepholeKnownBitsPredicate(t *testing.T) {
 	// MaskedValueIsZero via known-bits: (x & 0x0F) has zero high nibble.
 	ct := compile(t, `

@@ -98,6 +98,18 @@ func (ct *CompiledTransform) match(in *Instr, f *Function, known map[*Instr]Know
 	return b, true
 }
 
+// typeFits reports whether a concrete value of the given width may
+// stand where the template wrote type t: any width when no type was
+// written, else exactly the written integer width. A transform written
+// at i1 is only verified at i1.
+func typeFits(t ir.Type, width int) bool {
+	if t == nil {
+		return true
+	}
+	it, ok := t.(ir.IntType)
+	return ok && it.Bits == width
+}
+
 // matchValue matches a template value against a concrete instruction.
 func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
 	if prev, ok := b.vals[tv]; ok {
@@ -111,11 +123,14 @@ func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
 	}
 	switch tv := tv.(type) {
 	case *ir.Input:
+		if !typeFits(tv.DeclaredType, cv.Width) {
+			return false
+		}
 		b.vals[tv] = cv
 		return true
 	case *ir.AbstractConst:
 		c, ok := constOf(cv)
-		if !ok {
+		if !ok || !typeFits(tv.DeclaredType, cv.Width) {
 			return false
 		}
 		if prev, bound := b.consts[tv]; bound {
@@ -131,7 +146,7 @@ func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
 		}
 		return c.Eq(bv.NewInt(c.Width(), tv.V))
 	case *ir.BinOp:
-		if cv.Op != BinOpFor(tv.Op) || cv.Flags&tv.Flags != tv.Flags {
+		if cv.Op != BinOpFor(tv.Op) || cv.Flags&tv.Flags != tv.Flags || !typeFits(tv.DeclaredType, cv.Width) {
 			return false
 		}
 		if !b.matchValue(tv.X, cv.Args[0]) || !b.matchValue(tv.Y, cv.Args[1]) {
@@ -140,7 +155,7 @@ func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
 		b.vals[tv] = cv
 		return true
 	case *ir.ICmp:
-		if cv.Op != OpICmp || cv.Cond != tv.Cond {
+		if cv.Op != OpICmp || cv.Cond != tv.Cond || !typeFits(tv.DeclaredType, cv.Args[0].Width) {
 			return false
 		}
 		if !b.matchValue(tv.X, cv.Args[0]) || !b.matchValue(tv.Y, cv.Args[1]) {
@@ -149,7 +164,7 @@ func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
 		b.vals[tv] = cv
 		return true
 	case *ir.Select:
-		if cv.Op != OpSelect {
+		if cv.Op != OpSelect || !typeFits(tv.DeclaredType, cv.Width) {
 			return false
 		}
 		if !b.matchValue(tv.Cond, cv.Args[0]) || !b.matchValue(tv.TrueV, cv.Args[1]) || !b.matchValue(tv.FalseV, cv.Args[2]) {
@@ -169,7 +184,8 @@ func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
 		default:
 			return false
 		}
-		if cv.Op != want || !b.matchValue(tv.X, cv.Args[0]) {
+		if cv.Op != want || !typeFits(tv.FromType, cv.Args[0].Width) || !typeFits(tv.ToType, cv.Width) ||
+			!b.matchValue(tv.X, cv.Args[0]) {
 			return false
 		}
 		b.vals[tv] = cv

@@ -34,10 +34,11 @@ type SampleStats struct {
 	TrailEMAx100  int64
 }
 
-// sampleStats builds a snapshot. Only called when OnSample is non-nil,
-// so the tier scan over the learnt database costs nothing on the
-// sampling-off path.
-func (s *Solver) sampleStats() SampleStats {
+// Sample builds a snapshot of the search internals, the one OnSample
+// receives. It scans the learnt database for the tier counts, so the
+// solver calls it only when OnSample is set; a caller whose query stops
+// before search uses it to report the core's state all the same.
+func (s *Solver) Sample() SampleStats {
 	st := SampleStats{
 		Conflicts:    s.conflicts,
 		Propagations: s.propagations,
@@ -67,6 +68,6 @@ func (s *Solver) sampleStats() SampleStats {
 // emitSample fires the OnSample hook if one is attached.
 func (s *Solver) emitSample() {
 	if s.OnSample != nil {
-		s.OnSample(s.sampleStats())
+		s.OnSample(s.Sample())
 	}
 }

@@ -53,16 +53,6 @@ const (
 	False
 )
 
-func (v Value) negate() Value {
-	switch v {
-	case True:
-		return False
-	case False:
-		return True
-	}
-	return Unassigned
-}
-
 // Status is the result of a Solve call.
 type Status int
 
@@ -120,7 +110,6 @@ type watcher struct {
 }
 
 type varData struct {
-	value    Value // current assignment
 	level    int32 // decision level of the assignment
 	reason   *clause
 	activity float64
@@ -130,7 +119,11 @@ type varData struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	vars    []varData // index 0 unused
+	vars []varData // index 0 unused
+	// vals[l] is the current value of literal l. Both literals of a
+	// variable are written on assignment and cleared on backtrack, so
+	// reading a literal's value is one load with no branch on polarity.
+	vals    []Value
 	watches [][]watcher
 	clauses []*clause
 	learnts []*clause
@@ -213,6 +206,7 @@ type Solver struct {
 func New() *Solver {
 	s := &Solver{varInc: 1, clauseInc: 1, ok: true}
 	s.vars = make([]varData, 1)
+	s.vals = make([]Value, 2)
 	s.watches = make([][]watcher, 2)
 	s.order = newVarHeap(s)
 	return s
@@ -222,6 +216,7 @@ func New() *Solver {
 func (s *Solver) NewVar() int {
 	v := len(s.vars)
 	s.vars = append(s.vars, varData{})
+	s.vals = append(s.vals, Unassigned, Unassigned)
 	s.watches = append(s.watches, nil, nil)
 	s.order.insert(v)
 	return v
@@ -274,13 +269,7 @@ func (s *Solver) Interrupted() bool { return s.Stop.Stopped() }
 // internal error.
 func (s *Solver) Ok() bool { return s.ok }
 
-func (s *Solver) value(l Lit) Value {
-	v := s.vars[l.Var()].value
-	if l.Neg() {
-		return v.negate()
-	}
-	return v
-}
+func (s *Solver) value(l Lit) Value { return s.vals[l] }
 
 func (s *Solver) level(v int) int { return int(s.vars[v].level) }
 
@@ -296,20 +285,28 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause above decision level 0")
 	}
 	// Normalize: drop duplicate and false literals; detect tautologies and
-	// satisfied clauses.
+	// satisfied clauses. Clauses are short, so scanning the literals kept
+	// so far beats hashing them.
 	out := lits[:0:0]
-	seen := map[Lit]bool{}
+next:
 	for _, l := range lits {
 		if l.Var() <= 0 || l.Var() >= len(s.vars) {
 			panic(fmt.Sprintf("sat: literal %v references unallocated variable", l))
 		}
-		switch {
-		case s.value(l) == True || seen[l.Not()]:
-			return true // already satisfied / tautology
-		case s.value(l) == False || seen[l]:
+		switch s.value(l) {
+		case True:
+			return true // already satisfied
+		case False:
 			continue
 		}
-		seen[l] = true
+		for _, o := range out {
+			switch o {
+			case l:
+				continue next
+			case l.Not():
+				return true // tautology
+			}
+		}
 		out = append(out, l)
 	}
 	switch len(out) {
@@ -337,14 +334,10 @@ func (s *Solver) attach(c *clause) {
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
+	s.vals[l] = True
+	s.vals[l.Not()] = False
 	vd := &s.vars[l.Var()]
-	if l.Neg() {
-		vd.value = False
-		vd.phase = false
-	} else {
-		vd.value = True
-		vd.phase = true
-	}
+	vd.phase = !l.Neg()
 	vd.level = int32(s.decisionLevel())
 	vd.reason = reason
 	s.trail = append(s.trail, l)
@@ -526,8 +519,9 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.vars[v].value = Unassigned
+		l := s.trail[i]
+		s.vals[l], s.vals[l.Not()] = Unassigned, Unassigned
+		v := l.Var()
 		s.vars[v].reason = nil
 		s.order.insert(v)
 	}
@@ -695,7 +689,7 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return 0
 		}
-		if s.vars[v].value == Unassigned {
+		if s.value(MkLit(v, false)) == Unassigned {
 			s.decisions++
 			return MkLit(v, !s.vars[v].phase)
 		}
@@ -814,7 +808,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			s.model = s.model[:len(s.vars)]
 			for v := 1; v < len(s.vars); v++ {
-				s.model[v] = s.vars[v].value == True
+				s.model[v] = s.value(MkLit(v, false)) == True
 			}
 		}
 		if st != Unknown {
@@ -996,7 +990,7 @@ func (s *Solver) ProbeUnder(ctx []Lit) (failed []Lit, feasible bool) {
 	for pass := 0; pass < 4; pass++ {
 		progress := false
 		for v := 1; v < len(s.vars); v++ {
-			if s.vars[v].value != Unassigned {
+			if s.value(MkLit(v, false)) != Unassigned {
 				continue
 			}
 			// The pass count bounds the fixpoint, but every probe runs

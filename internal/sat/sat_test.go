@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -217,6 +218,69 @@ func TestAssumptions(t *testing.T) {
 	}
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("no assumptions: want sat, got %v", st)
+	}
+}
+
+// TestAddClauseNormalization pins what AddClause stores: duplicates and
+// root-false literals go, tautologies and root-true clauses store
+// nothing, and the kept literals stay in input order because the first
+// two become the watches.
+func TestAddClauseNormalization(t *testing.T) {
+	s := New()
+	for i := 0; i < 300; i++ {
+		s.NewVar()
+	}
+	pos := func(v int) Lit { return MkLit(v, false) }
+	last := func() []Lit { return s.clauses[len(s.clauses)-1].lits }
+	s.AddClause(pos(1))       // 1 true at the root
+	s.AddClause(pos(2).Not()) // 2 false at the root
+
+	cases := []struct {
+		name string
+		in   []Lit
+		want []Lit // nil: nothing stored
+	}{
+		{"duplicates dropped", []Lit{pos(5), pos(4), pos(5), pos(3), pos(4)}, []Lit{pos(5), pos(4), pos(3)}},
+		{"root-false dropped", []Lit{pos(6), pos(2), pos(7)}, []Lit{pos(6), pos(7)}},
+		{"order kept", []Lit{pos(9), pos(8).Not(), pos(10)}, []Lit{pos(9), pos(8).Not(), pos(10)}},
+		{"tautology", []Lit{pos(11), pos(12), pos(11).Not()}, nil},
+		{"duplicate then tautology", []Lit{pos(13), pos(13), pos(13).Not()}, nil},
+		{"root-true", []Lit{pos(14), pos(1), pos(15)}, nil},
+	}
+	for _, tc := range cases {
+		n := len(s.clauses)
+		if !s.AddClause(tc.in...) {
+			t.Fatalf("%s: AddClause reported unsat", tc.name)
+		}
+		if tc.want == nil {
+			if len(s.clauses) != n {
+				t.Errorf("%s: stored %v, want nothing", tc.name, last())
+			}
+			continue
+		}
+		if len(s.clauses) != n+1 || fmt.Sprint(last()) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: stored %v, want %v", tc.name, s.clauses[n:], tc.want)
+		}
+	}
+
+	// A long clause: 200 distinct literals in a scrambled order, each
+	// repeated, with root-false literals mixed in.
+	rng := rand.New(rand.NewSource(1))
+	var in, want []Lit
+	for _, v := range rng.Perm(200) {
+		l := MkLit(v+50, v%3 == 0)
+		want = append(want, l)
+		in = append(in, l, pos(2), l)
+	}
+	if !s.AddClause(in...) || fmt.Sprint(last()) != fmt.Sprint(want) {
+		t.Fatalf("200-literal clause stored as %v, want %v", last(), want)
+	}
+	w := s.watches[want[0].Not()]
+	if len(w) == 0 || w[len(w)-1].c.lits[0] != want[0] {
+		t.Fatal("the first literal of the long clause is not watched")
+	}
+	if !s.AddClause(append(in, want[199].Not())...) || len(last()) != 200 {
+		t.Fatal("a 201-literal tautology was stored")
 	}
 }
 

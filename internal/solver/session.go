@@ -345,7 +345,7 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 	vcLit, stopped := lowerStopped(bl, blastTerm)
 	if stopped {
 		bspan.End()
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+		return s.stopped()
 	}
 	if refined != nil {
 		s.seedHints(guardedDB{db: se.db, guard: vcLit}, bl, refined)
@@ -357,7 +357,7 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 	plan, planStopped := slicePlan(b, bl, blastTerm, vcLit, s.Miter)
 	if planStopped {
 		bspan.End()
-		return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+		return s.stopped()
 	}
 	if warm {
 		s.Stats.EncodingsReused += bl.Hits - hitsBefore
@@ -412,7 +412,7 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 			panic("solver: incremental session base formula became unsatisfiable")
 		}
 		if s.Stop.Stopped() {
-			return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
+			return s.stopped()
 		}
 		form.LoadDelta(core)
 	}
@@ -489,6 +489,7 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 	}
 	for i, assumps := range plan {
 		if s.Stop.Stopped() {
+			s.sample()
 			st = Unknown
 			break
 		}
@@ -530,6 +531,22 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 		}
 	}
 	return res
+}
+
+// sample hands OnSample one snapshot of the session core.
+func (s *Solver) sample() {
+	if s.OnSample != nil {
+		s.OnSample(s.sess.core.Sample())
+	}
+}
+
+// stopped ends a query the StopFlag cut short before its core solve.
+// Like sat.Solver.Solve stopped at entry, it takes one core sample, so
+// a deadline that lands in bit-blasting or preprocessing still leaves
+// one behind.
+func (s *Solver) stopped() Result {
+	s.sample()
+	return Result{Status: Unknown, Cause: CauseStopped, Rounds: 1}
 }
 
 // coreCounters snapshots the cumulative counters of the shared CDCL

@@ -109,9 +109,10 @@ type Solver struct {
 	Span *telemetry.Span
 	// OnSample, when non-nil, receives the session core's search
 	// snapshots at restart boundaries and Unknown exits
-	// (sat.Solver.OnSample). The observability layer uses it to fill
-	// per-query sample rings and live gauges; nil costs one pointer test
-	// per restart.
+	// (sat.Solver.OnSample), plus one snapshot when the Stop flag ends a
+	// query in bit-blasting or preprocessing, before its core solve. The
+	// observability layer uses it to fill per-query sample rings and
+	// live gauges; nil costs one pointer test per restart.
 	OnSample func(sat.SampleStats)
 
 	// sess is the lazily created solving session (nil until the first

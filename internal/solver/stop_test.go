@@ -1,11 +1,13 @@
 package solver
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"alive/internal/sat"
 	"alive/internal/smt"
+	"alive/internal/telemetry"
 )
 
 func TestCheckTriviallyTrueModelContract(t *testing.T) {
@@ -86,6 +88,44 @@ func TestCheckStoppedMidSearch(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("check did not notice the stop flag within 10s")
+	}
+}
+
+// TestCheckStoppedInPreprocessSamples: a query stopped while its
+// clauses are being preprocessed never reaches the core solve, yet it
+// must still hand OnSample exactly one snapshot, so a deadline that
+// lands there leaves a flight record with a sample. The tracer's clock
+// trips the flag as the preprocess span opens, the first span to start
+// after bit-blasting ends.
+func TestCheckStoppedInPreprocessSamples(t *testing.T) {
+	b := smt.NewBuilder()
+	s := Solver{Stop: &sat.StopFlag{}}
+	var tr *telemetry.Tracer
+	tr = telemetry.NewWithClock(func() time.Time {
+		for _, ev := range tr.Events() {
+			if ev.Name == "bitblast" {
+				s.Stop.Stop()
+			}
+		}
+		return time.Now()
+	})
+	s.Span = tr.NewTrack("test").Start("query", "test")
+	var samples []sat.SampleStats
+	s.OnSample = func(st sat.SampleStats) { samples = append(samples, st) }
+
+	r := s.Check(b, hardFactoring(b)...)
+	if r.Status != Unknown || r.Cause != CauseStopped {
+		t.Fatalf("check = %v/%v, want unknown/stopped", r.Status, r.Cause)
+	}
+	var names []string
+	for _, ev := range tr.Events() {
+		names = append(names, ev.Name)
+	}
+	if want := "[presolve bitblast preprocess smt-check]"; fmt.Sprint(names) != want {
+		t.Fatalf("spans = %v, want %s: the stop did not land in preprocessing", names, want)
+	}
+	if len(samples) != 1 {
+		t.Fatalf("stopped query emitted %d samples, want 1", len(samples))
 	}
 }
 
