@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	alive-bench [-j N] [-artifacts DIR] -experiment table3|fig5|fig8|fig9|patches|attrs|lint|presolve|preprocess|verify|compiletime|runtime|driver|trend|all
+//	alive-bench [-j N] [-artifacts DIR] -experiment table3|fig5|fig8|fig9|patches|attrs|lint|ablate|verify|compiletime|runtime|driver|trend|all
 //
 // The "verify" experiment is the perf baseline: it verifies the whole
 // corpus, prints the telemetry digest, and with -artifacts writes the
@@ -36,7 +36,7 @@ func main() {
 }
 
 func run() int {
-	exp := flag.String("experiment", "all", "which experiment to run (table3, fig5, fig8, fig9, patches, attrs, lint, presolve, preprocess, verify, compiletime, runtime, driver, all)")
+	exp := flag.String("experiment", "all", "which experiment to run (table3, fig5, fig8, fig9, patches, attrs, lint, ablate, verify, compiletime, runtime, driver, trend, all)")
 	widths := flag.String("widths", "4,8", "verification widths for corpus experiments")
 	jobs := flag.Int("j", 0, "corpus-driver workers (0 = GOMAXPROCS)")
 	artifacts := flag.String("artifacts", "", "directory for machine-readable JSON reports (empty = none)")
@@ -56,14 +56,13 @@ func run() int {
 		"patches":     bench.Patches,
 		"attrs":       bench.AttrInference,
 		"lint":        bench.Lint,
-		"presolve":    bench.Presolve,
-		"preprocess":  bench.Preprocess,
+		"ablate":      bench.Ablate,
 		"verify":      bench.VerifyBench,
 		"compiletime": bench.CompileTime,
 		"runtime":     bench.RunTime,
 		"driver":      bench.Driver,
 	}
-	order := []string{"table3", "fig5", "fig8", "patches", "attrs", "lint", "presolve", "preprocess", "verify", "fig9", "compiletime", "runtime", "driver"}
+	order := []string{"table3", "fig5", "fig8", "patches", "attrs", "lint", "ablate", "verify", "fig9", "compiletime", "runtime", "driver"}
 
 	cfg, err := bench.NewConfig(*widths)
 	if err != nil {

@@ -482,14 +482,14 @@ func printResult(name, file string, res alive.Result, quiet, verbose bool) {
 	}
 	if verbose {
 		c := res.Counters
-		fmt.Printf("    solver: %d CDCL runs, %d propagations, %d conflicts, %d decisions, %d restarts, %d learned; presolve %d/%d decided+simplified; %d CNF vars, %d clauses\n",
+		fmt.Printf("    solver: %d CDCL runs, %d propagations, %d conflicts, %d decisions, %d restarts, %d learned; presolve %d/%d decided; %d CNF vars, %d clauses\n",
 			c.CDCLRuns, c.Propagations, c.Conflicts, c.Decisions, c.Restarts, c.LearnedClauses,
-			c.Decided+c.Simplified, c.Checks, c.CNFVars, c.CNFClauses)
-		fmt.Printf("    preprocess: %d vars eliminated, %d subsumed, %d strengthened, %d blocked, %d probe units\n",
-			c.VarsEliminated, c.ClausesSubsumed, c.ClausesStrengthened, c.ClausesBlocked, c.ProbeUnits)
+			c.Decided, c.Checks, c.CNFVars, c.CNFClauses)
+		fmt.Printf("    preprocess: %d vars eliminated, %d subsumed, %d strengthened, %d blocked\n",
+			c.VarsEliminated, c.ClausesSubsumed, c.ClausesStrengthened, c.ClausesBlocked)
 		if c.IncrementalSolves > 0 {
-			fmt.Printf("    session: %d solves, %d assumption lits, %d encodings reused, %d learnts retained, %d core learnts, %d reductions\n",
-				c.IncrementalSolves, c.AssumptionLits, c.EncodingsReused, c.LearntsRetained, c.LBDCore, c.DBReductions)
+			fmt.Printf("    session: %d solves, %d assumption lits, %d probe units, %d encodings reused, %d learnts retained, %d core learnts, %d reductions\n",
+				c.IncrementalSolves, c.AssumptionLits, c.ProbeUnits, c.EncodingsReused, c.LearntsRetained, c.LBDCore, c.DBReductions)
 		}
 	}
 }

@@ -15,12 +15,11 @@
 //
 // Soundness contract: for every model m and term t,
 // Eval(t, m) ∈ Of(t) — the concrete value always lies inside the
-// abstract one. An unconditional Analysis assumes nothing, so its facts
-// are pointwise equivalences usable for rewriting (see Simplify). A
-// Refined analysis additionally assumes asserted formulas hold; its
-// facts are valid only for models of those assertions and must never be
-// substituted into the formula — they may only strengthen it (unit
-// clause hints) or refute it (Contradiction).
+// abstract one. An unconditional Analysis assumes nothing, so a Bool
+// term it decides holds, or fails, under every assignment. A Refined
+// analysis additionally assumes asserted formulas hold; its facts are
+// valid only for models of those assertions, so they may refute them
+// (Contradiction) but never stand in for them.
 package absint
 
 import (

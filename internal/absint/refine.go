@@ -1,8 +1,6 @@
 package absint
 
 import (
-	"sort"
-
 	"alive/internal/bv"
 	"alive/internal/smt"
 )
@@ -14,8 +12,7 @@ import (
 //
 // The facts of a Refined analysis are valid only for models of the
 // assertions: they may be used to refute the conjunction
-// (Contradiction), to decide it, or to strengthen a SAT encoding with
-// implied unit clauses — never to rewrite the formula itself.
+// (Contradiction), never to rewrite the formula itself.
 func Refined(asserts ...*smt.Term) *Analysis {
 	an := New()
 	// A few passes let facts flow both ways through the conjuncts
@@ -36,25 +33,6 @@ func Refined(asserts ...*smt.Term) *Analysis {
 		an.memo = map[*smt.Term]Value{}
 	}
 	return an
-}
-
-// Facts calls f for every term carrying a recorded refinement fact, in
-// ascending hash-consing order (term ID). The deterministic order
-// matters: facts seed unit clauses into the CDCL core, and a map-random
-// order would make propagation/conflict counts — and with them the
-// checked-in perf baseline — vary run to run. The facts are
-// consequences of the assertions passed to Refined; callers may use
-// them to strengthen a CNF encoding of those assertions without
-// changing its model set.
-func (an *Analysis) Facts(f func(t *smt.Term, v Value)) {
-	terms := make([]*smt.Term, 0, len(an.assume))
-	for t := range an.assume {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].ID() < terms[j].ID() })
-	for _, t := range terms {
-		f(t, an.assume[t])
-	}
 }
 
 // addFact meets a new fact into the assumption for t, reporting

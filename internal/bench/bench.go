@@ -33,7 +33,7 @@ type Config struct {
 	InstrsPerFunc int
 	Seed          int64
 	// ArtifactDir, when set, receives machine-readable JSON reports from
-	// experiments that produce them (presolve.json, BENCH_verify.json).
+	// experiments that produce them (ablate.json, BENCH_verify.json).
 	ArtifactDir string
 	// Baseline, when set, is a checked-in BENCH_verify.json the "verify"
 	// experiment compares against; Tolerance is the allowed relative

@@ -56,7 +56,14 @@ import (
 // clauses_vivified, vivify_shrunk_lits, and learnts_subsumed, and
 // conflicts/propagations/restarts now measure the plain LBD-tiered CDCL
 // loop (more conflicts, fewer propagations than schema 5).
-const VerifyReportSchema = 6
+// Version 7: three solver passes that did not pay were deleted — the
+// counters block lost simplified and term_nodes_after (presolve no
+// longer rewrites the formula, it only decides it) and hint_lits
+// (presolve no longer seeds refinement facts as clauses), and
+// probe_units now counts only the literals failed-literal probing under
+// each query's assumptions finds, since the CNF preprocessor no longer
+// probes.
+const VerifyReportSchema = 7
 
 // VerifySlow is one entry of the report's slowest-transforms table.
 // Durations are machine-dependent and informational; the comparator
@@ -247,13 +254,17 @@ func VerifyBench(cfg *Config) string {
 
 // WriteVerifyReport writes rep as indented JSON, creating the directory
 // if needed.
-func WriteVerifyReport(path string, rep *VerifyReport) error {
+func WriteVerifyReport(path string, rep *VerifyReport) error { return writeJSON(path, rep) }
+
+// writeJSON writes v as indented JSON, creating the directory if
+// needed.
+func writeJSON(path string, v any) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}

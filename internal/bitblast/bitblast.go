@@ -579,26 +579,6 @@ func (bl *Blaster) Assert(t *smt.Term) {
 	bl.S.AddClause(bl.Lit(t))
 }
 
-// AssumptionLit returns a literal that can be passed to Solve as an
-// assumption to require t.
-func (bl *Blaster) AssumptionLit(t *smt.Term) sat.Lit { return bl.Lit(t) }
-
-// CachedLit returns the literal already encoding the Bool term t, if t
-// was lowered during an Assert. It never lowers anything — the
-// presolver uses it to seed hints only for subterms that actually
-// reached the CNF.
-func (bl *Blaster) CachedLit(t *smt.Term) (sat.Lit, bool) {
-	l, ok := bl.boolCache[t]
-	return l, ok
-}
-
-// CachedBits returns the per-bit literals already encoding the BitVec
-// term t, if it was lowered. Like CachedLit, it never lowers.
-func (bl *Blaster) CachedBits(t *smt.Term) ([]sat.Lit, bool) {
-	bits, ok := bl.bvCache[t]
-	return bits, ok
-}
-
 // EachInterfaceVar calls fn for every variable a future lowering over
 // this Blaster may hand out again: the constant-true variable, every
 // named problem variable, and every memoized encoding output (cache

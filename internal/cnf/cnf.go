@@ -2,9 +2,9 @@
 // bit-blasted clause database: the formula produced by bitblast is
 // staged in a Formula instead of streaming straight into the CDCL core,
 // a preprocessor rewrites it — subsumption, self-subsuming resolution,
-// bounded variable elimination, blocked clause elimination,
-// failed-literal probing, root-level unit saturation — and the
-// simplified clauses are then loaded into sat.Solver for search.
+// bounded variable elimination, blocked clause elimination, root-level
+// unit saturation — and the simplified clauses are then loaded into
+// sat.Solver for search.
 //
 // Variable elimination and blocked clause elimination only preserve
 // equisatisfiability, not models. Both are therefore restricted to
@@ -122,17 +122,6 @@ func (f *Formula) NumVars() int { return f.nvars }
 
 // NumClauses returns the number of live (non-unit) clauses.
 func (f *Formula) NumClauses() int { return f.live }
-
-// NumUnits returns the number of root-assigned variables.
-func (f *Formula) NumUnits() int {
-	n := 0
-	for v := 1; v <= f.nvars; v++ {
-		if f.value[v] != 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // Ok reports whether the formula is still possibly satisfiable; it
 // turns false when an added or derived clause conflicts with the root

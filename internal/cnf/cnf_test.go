@@ -64,7 +64,7 @@ func TestSaturationRefutes(t *testing.T) {
 
 func TestSubsumption(t *testing.T) {
 	f := newFormula(3, []int{1, 2}, []int{1, 2, 3})
-	res := Preprocess(f, Options{NoElim: true, NoBlocked: true, NoProbe: true})
+	res := Preprocess(f, Options{NoElim: true, NoBlocked: true})
 	if res.Stats.ClausesSubsumed != 1 {
 		t.Fatalf("subsumed = %d, want 1", res.Stats.ClausesSubsumed)
 	}
@@ -76,7 +76,7 @@ func TestSubsumption(t *testing.T) {
 func TestSelfSubsumingResolution(t *testing.T) {
 	// (1 ∨ 2) strengthens (¬1 ∨ 2 ∨ 3) to (2 ∨ 3).
 	f := newFormula(3, []int{1, 2}, []int{-1, 2, 3})
-	res := Preprocess(f, Options{NoElim: true, NoBlocked: true, NoProbe: true})
+	res := Preprocess(f, Options{NoElim: true, NoBlocked: true})
 	if res.Stats.ClausesStrengthened != 1 {
 		t.Fatalf("strengthened = %d, want 1", res.Stats.ClausesStrengthened)
 	}
@@ -88,19 +88,6 @@ func TestSelfSubsumingResolution(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("expected the strengthened clause (2 ∨ 3)")
-	}
-}
-
-func TestProbeFindsFailedLiteral(t *testing.T) {
-	// Assuming ¬1 propagates 2 (from 1∨2) and ¬2 (from 1∨¬2): conflict,
-	// so 1 is forced at the root.
-	f := newFormula(2, []int{1, 2}, []int{1, -2})
-	res := Preprocess(f, Options{NoSubsume: true, NoElim: true, NoBlocked: true})
-	if res.Stats.ProbeUnits == 0 {
-		t.Fatal("probing should find the failed literal ¬1")
-	}
-	if f.value[1] != 1 {
-		t.Fatal("variable 1 should be forced true")
 	}
 }
 
@@ -200,7 +187,7 @@ func TestEliminationReconstruction(t *testing.T) {
 	// must still extend to a model of the original clauses.
 	clauses := [][]int{{1, 2}, {-1, 3}, {2, 3, 4}}
 	f := newFormula(4, clauses...)
-	st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoBlocked: true, NoProbe: true}, []int{2, 3, 4})
+	st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoBlocked: true}, []int{2, 3, 4})
 	if st != sat.Sat {
 		t.Fatalf("status = %v, want sat", st)
 	}
@@ -216,7 +203,7 @@ func TestPureLiteralReconstruction(t *testing.T) {
 	// frozen variables 2 and 3 are left with (¬2 ∨ ¬3) alone.
 	clauses := [][]int{{1, 2}, {1, 3}, {-2, -3}}
 	f := newFormula(3, clauses...)
-	st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoBlocked: true, NoProbe: true}, []int{2, 3})
+	st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoBlocked: true}, []int{2, 3})
 	if st != sat.Sat {
 		t.Fatalf("status = %v, want sat", st)
 	}
@@ -232,7 +219,7 @@ func TestBlockedClauseReconstruction(t *testing.T) {
 	// variables' values extendable.
 	clauses := [][]int{{1, 2}, {-1, -2, 3}, {-3, 2}}
 	f := newFormula(3, clauses...)
-	st, units, stats := solveFrozen(f, Options{NoSubsume: true, NoElim: true, NoProbe: true}, []int{2, 3})
+	st, units, stats := solveFrozen(f, Options{NoSubsume: true, NoElim: true}, []int{2, 3})
 	if st != sat.Sat {
 		t.Fatalf("status = %v, want sat", st)
 	}
@@ -285,7 +272,6 @@ func TestDifferentialRandom(t *testing.T) {
 			NoSubsume: rng.Intn(4) == 0,
 			NoElim:    rng.Intn(4) == 0,
 			NoBlocked: rng.Intn(4) == 0,
-			NoProbe:   rng.Intn(4) == 0,
 		}
 		f := newFormula(nvars, clauses...)
 		st, units, _ := solveFrozen(f, opts, randomFrozen(rng, nvars))
@@ -310,7 +296,7 @@ func TestDifferentialEliminationHeavy(t *testing.T) {
 		want := plainSolver(nvars, clauses).Solve()
 
 		f := newFormula(nvars, clauses...)
-		st, units, _ := solveFrozen(f, Options{NoSubsume: true, NoProbe: true}, randomFrozen(rng, nvars))
+		st, units, _ := solveFrozen(f, Options{NoSubsume: true}, randomFrozen(rng, nvars))
 		if st != want {
 			t.Fatalf("iter %d: status %v, want %v (clauses %v)", iter, st, want, clauses)
 		}

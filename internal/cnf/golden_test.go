@@ -13,7 +13,7 @@ import (
 // variables: clauses of 2 to 5 literals plus a few units, each drawn
 // from a narrow window of variables so that clauses overlap, and each
 // satisfied by a hidden assignment. Subsumption, strengthening,
-// elimination and probing all fire on it, and deletions and
+// elimination and blocked clauses all fire on it, and deletions and
 // strengthenings leave stale occurrence entries behind. A quarter of
 // the variables are frozen, as a session would freeze its interface.
 // It returns the formula, its frozen variables and the hidden
@@ -84,24 +84,24 @@ func fingerprint(f *Formula, res *Result) string {
 // regenerates these values and says why.
 func TestGoldenFingerprints(t *testing.T) {
 	want := map[string]string{
-		"cold/1":   "unsat=false {Rounds:5 VarsEliminated:79 ClausesSubsumed:44 ClausesStrengthened:68 ClausesBlocked:22 ProbeUnits:2 Units:145 VarsIn:281 ClausesIn:749 ClausesOut:28 BudgetSpent:14983} clauses=71183a03eaa82d14 units=145/a75141948a91f2a0",
-		"budget/1": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:29 ClausesStrengthened:53 ClausesBlocked:0 ProbeUnits:0 Units:140 VarsIn:281 ClausesIn:749 ClausesOut:223 BudgetSpent:5004} clauses=3db080c165d5503d units=140/a98ece4d592488d7",
-		"warm/1":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 ProbeUnits:0 Units:1 VarsIn:281 ClausesIn:30 ClausesOut:29 BudgetSpent:321} clauses=4685213a2bcc7b18 units=146/e02a609cecaa78b4",
-		"cold/2":   "unsat=false {Rounds:5 VarsEliminated:141 ClausesSubsumed:112 ClausesStrengthened:141 ClausesBlocked:9 ProbeUnits:9 Units:185 VarsIn:386 ClausesIn:1098 ClausesOut:30 BudgetSpent:28006} clauses=4db5db8f3a9abbb6 units=185/2669a8361ab5666a",
-		"budget/2": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:30 ClausesStrengthened:43 ClausesBlocked:0 ProbeUnits:0 Units:139 VarsIn:386 ClausesIn:1098 ClausesOut:518 BudgetSpent:5014} clauses=cd1d6646cab3b7b8 units=139/ecb1f6236f725265",
-		"warm/2":   "unsat=false {Rounds:2 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:1 ClausesBlocked:0 ProbeUnits:0 Units:1 VarsIn:386 ClausesIn:34 ClausesOut:31 BudgetSpent:480} clauses=8bc53ec162147452 units=186/76503b4e3e11e415",
-		"cold/3":   "unsat=false {Rounds:5 VarsEliminated:87 ClausesSubsumed:56 ClausesStrengthened:66 ClausesBlocked:6 ProbeUnits:7 Units:89 VarsIn:208 ClausesIn:558 ClausesOut:13 BudgetSpent:13512} clauses=5c0cc1a93df539f2 units=89/701db9c5f744405d",
-		"budget/3": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:28 ClausesStrengthened:44 ClausesBlocked:0 ProbeUnits:0 Units:79 VarsIn:208 ClausesIn:558 ClausesOut:256 BudgetSpent:5020} clauses=373ebd9a47d8b2c4 units=79/6b84a83ea92738d1",
-		"warm/3":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 ProbeUnits:0 Units:1 VarsIn:208 ClausesIn:17 ClausesOut:14 BudgetSpent:103} clauses=ec2e8f610e8f2318 units=90/5eaae53156b9cd5",
-		"cold/4":   "unsat=false {Rounds:5 VarsEliminated:97 ClausesSubsumed:88 ClausesStrengthened:150 ClausesBlocked:19 ProbeUnits:22 Units:93 VarsIn:229 ClausesIn:631 ClausesOut:30 BudgetSpent:37319} clauses=aae494e627addd50 units=93/9260964dadf343f1",
-		"budget/4": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:21 ClausesStrengthened:44 ClausesBlocked:0 ProbeUnits:0 Units:34 VarsIn:229 ClausesIn:631 ClausesOut:529 BudgetSpent:5016} clauses=760665f9523a8324 units=34/a977744adefc26f6",
-		"warm/4":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 ProbeUnits:0 Units:2 VarsIn:229 ClausesIn:34 ClausesOut:28 BudgetSpent:342} clauses=da549c2bcb523d5 units=95/36c2703e76d7a03",
-		"cold/5":   "unsat=false {Rounds:3 VarsEliminated:68 ClausesSubsumed:22 ClausesStrengthened:42 ClausesBlocked:5 ProbeUnits:4 Units:118 VarsIn:226 ClausesIn:589 ClausesOut:18 BudgetSpent:6606} clauses=cc1cf00e870b0a9 units=118/6249f47b52ece9e5",
-		"budget/5": "unsat=false {Rounds:1 VarsEliminated:47 ClausesSubsumed:20 ClausesStrengthened:42 ClausesBlocked:0 ProbeUnits:0 Units:113 VarsIn:226 ClausesIn:589 ClausesOut:91 BudgetSpent:5003} clauses=ac2f471ec46b7004 units=113/82b55259114b1b81",
-		"warm/5":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 ProbeUnits:0 Units:2 VarsIn:226 ClausesIn:20 ClausesOut:18 BudgetSpent:102} clauses=a7f16541e6a5ebaa units=120/c9cabac4adb8a515",
-		"cold/6":   "unsat=false {Rounds:5 VarsEliminated:163 ClausesSubsumed:155 ClausesStrengthened:207 ClausesBlocked:71 ProbeUnits:10 Units:104 VarsIn:348 ClausesIn:963 ClausesOut:84 BudgetSpent:66791} clauses=865b2b18ec93bb6f units=104/9196a87fa1e5fbc1",
-		"budget/6": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:12 ClausesStrengthened:30 ClausesBlocked:0 ProbeUnits:0 Units:76 VarsIn:348 ClausesIn:963 ClausesOut:684 BudgetSpent:5032} clauses=dc840465747cff67 units=76/63de1d86153eea2a",
-		"warm/6":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 ProbeUnits:0 Units:6 VarsIn:348 ClausesIn:88 ClausesOut:72 BudgetSpent:647} clauses=4c0d2d0210b4c1f3 units=110/381b94ab749e39ef",
+		"cold/1":   "unsat=false {Rounds:5 VarsEliminated:82 ClausesSubsumed:51 ClausesStrengthened:74 ClausesBlocked:21 Units:141 VarsIn:281 ClausesIn:749 ClausesOut:31 BudgetSpent:11930} clauses=b8c29598957f3edb units=141/691ebd4635f516b8",
+		"budget/1": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:29 ClausesStrengthened:53 ClausesBlocked:0 Units:140 VarsIn:281 ClausesIn:749 ClausesOut:223 BudgetSpent:5004} clauses=3db080c165d5503d units=140/a98ece4d592488d7",
+		"warm/1":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 Units:0 VarsIn:281 ClausesIn:36 ClausesOut:36 BudgetSpent:32} clauses=71eb5bf946c79003 units=141/691ebd4635f516b8",
+		"cold/2":   "unsat=false {Rounds:5 VarsEliminated:148 ClausesSubsumed:140 ClausesStrengthened:186 ClausesBlocked:8 Units:170 VarsIn:386 ClausesIn:1098 ClausesOut:60 BudgetSpent:29345} clauses=954b958c2d730e2d units=170/c3c4169eb5113b3c",
+		"budget/2": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:30 ClausesStrengthened:43 ClausesBlocked:0 Units:139 VarsIn:386 ClausesIn:1098 ClausesOut:518 BudgetSpent:5014} clauses=cd1d6646cab3b7b8 units=139/ecb1f6236f725265",
+		"warm/2":   "unsat=false {Rounds:2 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:1 ClausesBlocked:0 Units:1 VarsIn:386 ClausesIn:64 ClausesOut:61 BudgetSpent:16} clauses=7c2a774b197c9e0b units=171/9f8af8dc5ac3e51b",
+		"cold/3":   "unsat=false {Rounds:5 VarsEliminated:85 ClausesSubsumed:64 ClausesStrengthened:87 ClausesBlocked:5 Units:83 VarsIn:208 ClausesIn:558 ClausesOut:42 BudgetSpent:18718} clauses=c0e0e7b11da08a34 units=83/141ed6934f235892",
+		"budget/3": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:28 ClausesStrengthened:44 ClausesBlocked:0 Units:79 VarsIn:208 ClausesIn:558 ClausesOut:256 BudgetSpent:5020} clauses=373ebd9a47d8b2c4 units=79/6b84a83ea92738d1",
+		"warm/3":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 Units:1 VarsIn:208 ClausesIn:47 ClausesOut:41 BudgetSpent:26} clauses=1f5845a8bcfa65f7 units=84/81d7e4695532ccec",
+		"cold/4":   "unsat=false {Rounds:5 VarsEliminated:87 ClausesSubsumed:103 ClausesStrengthened:177 ClausesBlocked:15 Units:59 VarsIn:229 ClausesIn:631 ClausesOut:184 BudgetSpent:66107} clauses=3d4628bb8125deb4 units=59/e2da87d95c70058",
+		"budget/4": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:21 ClausesStrengthened:44 ClausesBlocked:0 Units:34 VarsIn:229 ClausesIn:631 ClausesOut:529 BudgetSpent:5016} clauses=760665f9523a8324 units=34/a977744adefc26f6",
+		"warm/4":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 Units:1 VarsIn:229 ClausesIn:189 ClausesOut:188 BudgetSpent:42} clauses=4bf54e1b1294de5c units=60/98c09aa8a52a8c28",
+		"cold/5":   "unsat=false {Rounds:5 VarsEliminated:71 ClausesSubsumed:28 ClausesStrengthened:52 ClausesBlocked:5 Units:116 VarsIn:226 ClausesIn:589 ClausesOut:18 BudgetSpent:7168} clauses=cc1cf00e870b0a9 units=116/7ec27c757b0b0fd3",
+		"budget/5": "unsat=false {Rounds:1 VarsEliminated:47 ClausesSubsumed:20 ClausesStrengthened:42 ClausesBlocked:0 Units:113 VarsIn:226 ClausesIn:589 ClausesOut:91 BudgetSpent:5003} clauses=ac2f471ec46b7004 units=113/82b55259114b1b81",
+		"warm/5":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 Units:2 VarsIn:226 ClausesIn:20 ClausesOut:18 BudgetSpent:4} clauses=f1690c3420dbea40 units=118/6e08306d7ac25ba3",
+		"cold/6":   "unsat=false {Rounds:5 VarsEliminated:154 ClausesSubsumed:158 ClausesStrengthened:220 ClausesBlocked:78 Units:96 VarsIn:348 ClausesIn:963 ClausesOut:148 BudgetSpent:70033} clauses=7b5342f189ef9549 units=96/1f557fb16949f327",
+		"budget/6": "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:12 ClausesStrengthened:30 ClausesBlocked:0 Units:76 VarsIn:348 ClausesIn:963 ClausesOut:684 BudgetSpent:5032} clauses=dc840465747cff67 units=76/63de1d86153eea2a",
+		"warm/6":   "unsat=false {Rounds:1 VarsEliminated:0 ClausesSubsumed:0 ClausesStrengthened:0 ClausesBlocked:0 Units:3 VarsIn:348 ClausesIn:152 ClausesOut:142 BudgetSpent:44} clauses=cbff8e023bc9614f units=99/100d0784d4c82d79",
 	}
 	got := map[string]string{}
 	for seed := int64(1); seed <= 6; seed++ {

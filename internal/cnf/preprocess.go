@@ -15,8 +15,6 @@ type Options struct {
 	NoElim bool
 	// NoBlocked disables blocked clause elimination.
 	NoBlocked bool
-	// NoProbe disables failed-literal probing.
-	NoProbe bool
 	// Budget is the work budget in propagation-style ticks (roughly one
 	// tick per literal visited); 0 means a default. A call after
 	// LoadDelta is further capped by the size of the delta. Exhausting the
@@ -51,10 +49,8 @@ type Stats struct {
 	ClausesSubsumed     int64
 	ClausesStrengthened int64
 	ClausesBlocked      int64
-	ProbeUnits          int64
 	// Units is the total number of root-level assignments fixed by
-	// saturation (including units absorbed at AddClause time and probe
-	// units).
+	// saturation (including units absorbed at AddClause time).
 	Units       int64
 	VarsIn      int
 	ClausesIn   int
@@ -154,9 +150,6 @@ func Preprocess(f *Formula, opts Options) *Result {
 		}
 		if !opts.NoBlocked {
 			changed += p.blocked()
-		}
-		if !opts.NoProbe {
-			changed += p.probe()
 		}
 		if changed == 0 {
 			break
@@ -516,117 +509,6 @@ func tautResolvent(c, d []sat.Lit, l sat.Lit) bool {
 	for _, m := range c {
 		if m != l && contains(d, m.Not()) {
 			return true
-		}
-	}
-	return false
-}
-
-// probe runs failed-literal probing: temporarily assume each unassigned
-// literal and unit-propagate over the occurrence lists; a conflict
-// proves the complement at the root, which then saturates through the
-// database.
-func (p *prep) probe() int64 {
-	f := p.f
-	changed := int64(0)
-	mark := make([]int8, f.nvars+1)
-	trail := make([]sat.Lit, 0, 64)
-	for v := 1; v <= f.nvars; v++ {
-		if !f.ok || p.halted() {
-			break
-		}
-		if len(f.unitQ) > 0 {
-			p.saturate()
-			if !f.ok {
-				break
-			}
-		}
-		if f.value[v] != 0 || f.elim[v] {
-			continue
-		}
-		if len(p.occ[sat.MkLit(v, false)]) == 0 && len(p.occ[sat.MkLit(v, true)]) == 0 {
-			continue
-		}
-		for neg := 0; neg < 2; neg++ {
-			if f.value[v] != 0 {
-				break // the other polarity failed and was fixed
-			}
-			l := sat.MkLit(v, neg == 1)
-			conflict := p.tempPropagate(l, mark, &trail)
-			for _, t := range trail {
-				mark[t.Var()] = 0
-			}
-			trail = trail[:0]
-			if !conflict {
-				continue
-			}
-			p.stats.ProbeUnits++
-			changed++
-			if !f.assign(l.Not()) {
-				return changed
-			}
-			p.saturate()
-			if !f.ok {
-				return changed
-			}
-		}
-	}
-	return changed
-}
-
-// tempPropagate assumes l in the scratch assignment and unit-propagates
-// to fixpoint. It reports whether a conflict was reached; exhausting
-// the budget mid-propagation aborts without a conflict, which is sound
-// (probing only acts on conflicts).
-func (p *prep) tempPropagate(l sat.Lit, mark []int8, trail *[]sat.Lit) bool {
-	f := p.f
-	set := func(x sat.Lit) {
-		if x.Neg() {
-			mark[x.Var()] = -1
-		} else {
-			mark[x.Var()] = 1
-		}
-		*trail = append(*trail, x)
-	}
-	val := func(x sat.Lit) int8 {
-		m := mark[x.Var()]
-		if x.Neg() {
-			return -m
-		}
-		return m
-	}
-	set(l)
-	for i := 0; i < len(*trail); i++ {
-		if p.budget <= 0 {
-			return false
-		}
-		q := (*trail)[i]
-		for _, ci := range p.occList(q.Not()) {
-			c := f.clauses[ci]
-			p.spend(len(c.lits))
-			satisfied := false
-			unassigned := 0
-			var last sat.Lit
-			for _, x := range c.lits {
-				switch val(x) {
-				case 1:
-					satisfied = true
-				case 0:
-					unassigned++
-					last = x
-				}
-				if satisfied {
-					break
-				}
-			}
-			if satisfied {
-				continue
-			}
-			if unassigned == 0 {
-				return true
-			}
-			if unassigned == 1 {
-				set(last)
-			}
 		}
 	}
 	return false

@@ -32,8 +32,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch {
 		case m.gauge != nil:
 			f.val = m.gauge.Value()
-		case m.counter != nil:
-			f.val = m.counter.Value()
 		case m.gaugeFn != nil:
 			f.val = m.gaugeFn()
 		case m.histFn != nil:

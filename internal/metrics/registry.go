@@ -1,7 +1,7 @@
 // Package metrics is the live-observability layer on top of
 // internal/telemetry: a concurrency-safe registry of named gauges,
-// counters, and histograms with a Prometheus text-exposition encoder
-// (prometheus.go), per-query ring buffers of solver search snapshots
+// histograms, and telemetry counter blocks with a Prometheus
+// text-exposition encoder (prometheus.go), per-query ring buffers of solver search snapshots
 // (ring.go), a post-mortem flight recorder for hard queries (flight.go),
 // and the HTTP debug server behind `alive -debug-addr` (http.go).
 //
@@ -37,23 +37,6 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// A Counter is a monotonically non-decreasing int64. All methods are
-// safe for concurrent use.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds d; negative deltas are dropped to preserve monotonicity.
-func (c *Counter) Add(d int64) {
-	if d > 0 {
-		c.v.Add(d)
-	}
-}
-
-// Value reads the current total.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 type metricKind int
 
 const (
@@ -63,7 +46,7 @@ const (
 )
 
 // metric is one registered series family: exactly one of gauge,
-// counter, gaugeFn, or histFn is set. Function-backed metrics are
+// gaugeFn, or histFn is set. Function-backed metrics are
 // evaluated at scrape time under no registry lock, so their closures
 // must be safe to call concurrently with writers.
 type metric struct {
@@ -71,7 +54,6 @@ type metric struct {
 	help    string
 	kind    metricKind
 	gauge   *Gauge
-	counter *Counter
 	gaugeFn func() int64
 	histFn  func() telemetry.Histogram
 }
@@ -120,13 +102,6 @@ func (r *Registry) register(m *metric) *metric {
 func (r *Registry) Gauge(name, help string) *Gauge {
 	m := r.register(&metric{name: name, help: help, kind: kindGauge, gauge: &Gauge{}})
 	return m.gauge
-}
-
-// Counter registers (or returns the existing) counter with the given
-// name.
-func (r *Registry) Counter(name, help string) *Counter {
-	m := r.register(&metric{name: name, help: help, kind: kindCounter, counter: &Counter{}})
-	return m.counter
 }
 
 // GaugeFunc registers a gauge whose value is computed by f at scrape

@@ -14,7 +14,6 @@ import (
 func TestWriteTextDeterministic(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("alive_queue_depth", "Transforms not yet completed.").Set(7)
-	reg.Counter("alive_scrapes_total", "Scrapes served.").Add(3)
 	var h telemetry.Histogram
 	for _, v := range []int64{0, 1, 3, 100} {
 		h.Observe(v)
@@ -28,9 +27,6 @@ func TestWriteTextDeterministic(t *testing.T) {
 	want := `# HELP alive_queue_depth Transforms not yet completed.
 # TYPE alive_queue_depth gauge
 alive_queue_depth 7
-# HELP alive_scrapes_total Scrapes served.
-# TYPE alive_scrapes_total counter
-alive_scrapes_total 3
 # HELP alive_solve_us Solve wall time.
 # TYPE alive_solve_us histogram
 alive_solve_us_bucket{le="0"} 1
@@ -74,22 +70,21 @@ func TestCountersFuncExpansion(t *testing.T) {
 			t.Errorf("missing series alive_run_%s", name)
 		}
 	})
-	if fields < 28 {
-		t.Fatalf("counter block has %d fields, expected at least 28", fields)
+	if fields < 25 {
+		t.Fatalf("counter block has %d fields, expected at least 25", fields)
 	}
 	if !strings.Contains(out, "alive_run_conflicts 42\n") {
 		t.Errorf("conflicts value not surfaced:\n%s", out)
 	}
 }
 
-// TestRegistryConcurrentScrape hammers gauges, counters, a shared
-// histogram, and a counters collector from writer goroutines while
+// TestRegistryConcurrentScrape hammers a gauge, a shared histogram,
+// and a counters collector from writer goroutines while
 // scrapes are in flight; run under -race this is the registry's data-
 // race gate.
 func TestRegistryConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("g", "")
-	c := reg.Counter("c", "")
 	var mu sync.Mutex
 	var h telemetry.Histogram
 	var cnt telemetry.Counters
@@ -113,7 +108,6 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			for i := int64(0); i < iters; i++ {
 				g.Set(seed + i)
-				c.Inc()
 				mu.Lock()
 				h.Observe(seed * i % 1024)
 				cnt.Propagations++
@@ -136,8 +130,8 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := c.Value(); got != 4*iters {
-		t.Errorf("counter = %d, want %d", got, 4*iters)
+	if got := cnt.Propagations; got != 4*iters {
+		t.Errorf("propagations = %d, want %d", got, 4*iters)
 	}
 }
 
@@ -166,7 +160,7 @@ func TestRegistryIdempotentAndInvalid(t *testing.T) {
 				t.Error("kind mismatch did not panic")
 			}
 		}()
-		reg.Counter("same", "now a counter")
+		reg.HistogramFunc("same", "now a histogram", func() telemetry.Histogram { return telemetry.Histogram{} })
 	}()
 }
 

@@ -27,12 +27,6 @@ func constBits(v bv.Vec) KnownBits {
 	return KnownBits{Zero: v.Not(), One: v}
 }
 
-// IsConstant reports whether every bit is known.
-func (k KnownBits) IsConstant() bool { return k.Zero.Or(k.One).IsOnes() }
-
-// NonNegative reports the sign bit is known zero.
-func (k KnownBits) NonNegative() bool { return k.Zero.Bit(k.Width()-1) == 1 }
-
 // ComputeKnownBits runs a forward known-bits analysis over the function
 // and returns the result for each instruction.
 func ComputeKnownBits(f *Function) map[*Instr]KnownBits {

@@ -1057,7 +1057,7 @@ func (s *Solver) ProbeUnder(ctx []Lit) (failed []Lit, feasible bool) {
 		}
 		// Each failed literal strengthens the context, so earlier
 		// variables may fail on a re-probe; iterate to a bounded
-		// fixpoint, like a fresh preprocessor's probing loop.
+		// fixpoint.
 		if !progress {
 			break
 		}

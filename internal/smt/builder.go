@@ -267,9 +267,6 @@ func (b *Builder) Implies(x, y *Term) *Term {
 	return b.intern(&Term{Kind: KImplies, Args: []*Term{x, y}})
 }
 
-// Iff returns x <=> y.
-func (b *Builder) Iff(x, y *Term) *Term { return b.Eq(x, y) }
-
 // Eq returns the polymorphic equality x = y (both Bool or both BitVec of
 // equal width).
 func (b *Builder) Eq(x, y *Term) *Term {
@@ -793,13 +790,6 @@ func (b *Builder) Substitute(t *Term, sub map[string]*Term) *Term {
 	}
 	return walk(t)
 }
-
-// Rebuild reconstructs u with new arguments through the simplifying
-// constructors. args must match u.Args in arity and sorts. Passing
-// u.Args verbatim re-canonicalizes u itself, which picks up any
-// constructor simplifications that became applicable after its
-// arguments were rewritten.
-func (b *Builder) Rebuild(u *Term, args []*Term) *Term { return b.rebuild(u, args) }
 
 // rebuild reconstructs a node with new arguments, going through the
 // simplifying constructors.

@@ -10,11 +10,7 @@
 // phases, and LBD-core clauses all stay sound and carry from one query
 // to the next. Retiring a query is implicit — the next Solve simply
 // assumes a different root — which turns CEGIS refinement rounds into
-// pure assumption flips over a shared, memoized encoding. The one
-// per-query ingredient that is NOT globally true, the presolver's
-// refinement hints, is staged guarded as (¬r ∨ hint): a hint is a
-// semantic consequence of that query's formula being true, so it may
-// only bite in models where r holds.
+// pure assumption flips over a shared, memoized encoding.
 //
 // Soundness under preprocessing hinges on frozen variables: before each
 // incremental preprocessing round the session freezes every interface
@@ -28,7 +24,6 @@
 package solver
 
 import (
-	"alive/internal/absint"
 	"alive/internal/bitblast"
 	"alive/internal/cnf"
 	"alive/internal/sat"
@@ -52,26 +47,6 @@ type session struct {
 	lastVars    int64 // core var count after the previous load
 	lastClauses int64 // core clause count after the previous load
 }
-
-// guardedDB wraps a clause database so every clause added through it is
-// weakened with ¬guard: the clauses only bite in models where the guard
-// literal holds. The session routes each query's presolve hint units
-// through this wrapper with the query's root literal as the guard —
-// hints are consequences of that one query's formula, not global
-// truths, so staging them unguarded would corrupt later queries.
-type guardedDB struct {
-	db    bitblast.ClauseDB
-	guard sat.Lit
-}
-
-func (g guardedDB) NewVar() int { return g.db.NewVar() }
-
-func (g guardedDB) AddClause(lits ...sat.Lit) bool {
-	return g.db.AddClause(append([]sat.Lit{g.guard.Not()}, lits...)...)
-}
-
-func (g guardedDB) NumVars() int    { return g.db.NumVars() }
-func (g guardedDB) NumClauses() int { return g.db.NumClauses() }
 
 func (s *Solver) initSession(b *smt.Builder) {
 	core := sat.New()
@@ -193,7 +168,7 @@ func firstDivRem(t *smt.Term, signedOnly bool, seen map[*smt.Term]bool) *smt.Ter
 //     division and remainder refine this into a sign-aware split (see
 //     the comment at the split below): magnitude bits mean the
 //     opposite thing for negative divisors.
-func slicePlan(b *smt.Builder, bl *bitblast.Blaster, blastTerm *smt.Term, vcLit sat.Lit, miter bool) (plan [][]sat.Lit, stopped bool) {
+func slicePlan(b *smt.Builder, bl *bitblast.Blaster, formula *smt.Term, vcLit sat.Lit, miter bool) (plan [][]sat.Lit, stopped bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == bitblast.ErrStopped {
@@ -206,7 +181,7 @@ func slicePlan(b *smt.Builder, bl *bitblast.Blaster, blastTerm *smt.Term, vcLit 
 	if !miter {
 		return [][]sat.Lit{{vcLit}}, false
 	}
-	cs := conjuncts(blastTerm)
+	cs := conjuncts(formula)
 	sizes := map[*smt.Term]int{}
 	small, large := -1, -1
 	for i, c := range cs {
@@ -228,7 +203,7 @@ func slicePlan(b *smt.Builder, bl *bitblast.Blaster, blastTerm *smt.Term, vcLit 
 	if large == -1 {
 		return [][]sat.Lit{{vcLit}}, false
 	}
-	divrem := hasDivRem(blastTerm)
+	divrem := hasDivRem(formula)
 	chosen := large
 	if divrem {
 		chosen = small
@@ -258,7 +233,7 @@ func slicePlan(b *smt.Builder, bl *bitblast.Blaster, blastTerm *smt.Term, vcLit 
 	// removed disequality, so it is only sound when the compared-against
 	// side really is the constant zero.
 	if divrem {
-		if sd := firstDivRem(blastTerm, true, map[*smt.Term]bool{}); sd != nil {
+		if sd := firstDivRem(formula, true, map[*smt.Term]bool{}); sd != nil {
 			eq := cs[chosen].Args[0]
 			div, rhs := eq.Args[0], eq.Args[1]
 			if div.Kind == smt.KBVConst {
@@ -327,10 +302,10 @@ func bitDiffs(b *smt.Builder, bl *bitblast.Blaster, eq *smt.Term, msbFirst bool)
 	return lits
 }
 
-// solve is the back half of Check: presolve already ran (blastTerm is
-// the surviving formula), so the query is encoded into the session's
-// shared databases and its root literal is solved under assumption.
-func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm *smt.Term, refined *absint.Analysis) Result {
+// solve is the back half of Check: presolve already ran, so the query
+// is encoded into the session's shared databases and its root literal
+// is solved under assumption.
+func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula *smt.Term) Result {
 	if s.sess == nil || s.sess.b != b {
 		s.initSession(b)
 	}
@@ -340,21 +315,13 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 	core, form, bl := se.core, se.form, se.bl
 
 	bspan := qspan.Child("bitblast", "bitblast")
-	hintsBefore := s.Stats.HintLits
 	hitsBefore := bl.Hits
-	vcLit, stopped := lowerStopped(bl, blastTerm)
+	vcLit, stopped := lowerStopped(bl, formula)
 	if stopped {
 		bspan.End()
 		return s.stopped()
 	}
-	if refined != nil {
-		s.seedHints(guardedDB{db: se.db, guard: vcLit}, bl, refined)
-	}
-	// Sub-query models satisfy the whole formula (a differing bit makes
-	// a ≠ b true), so the full-equivalence Tseitin gates force vcLit
-	// true in them and the (¬vcLit ∨ hint) clauses stay sound for every
-	// entry of the plan, not just the monolithic one.
-	plan, planStopped := slicePlan(b, bl, blastTerm, vcLit, s.Miter)
+	plan, planStopped := slicePlan(b, bl, formula, vcLit, s.Miter)
 	if planStopped {
 		bspan.End()
 		return s.stopped()
@@ -369,7 +336,6 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 		bspan.SetInt("gates", int64(bst.Gates))
 		bspan.SetInt("bool_terms", int64(bst.BoolTerms))
 		bspan.SetInt("bv_terms", int64(bst.BVTerms))
-		bspan.SetInt("hint_lits", s.Stats.HintLits-hintsBefore)
 		bspan.SetInt("encoding_hits", bl.Hits-hitsBefore)
 		bspan.End()
 	}
@@ -390,7 +356,6 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 		s.Stats.ClausesSubsumed += pst.ClausesSubsumed
 		s.Stats.ClausesStrengthened += pst.ClausesStrengthened
 		s.Stats.ClausesBlocked += pst.ClausesBlocked
-		s.Stats.ProbeUnits += pst.ProbeUnits
 		if ppspan != nil {
 			ppspan.SetInt("clauses_in", int64(pst.ClausesIn))
 			ppspan.SetInt("clauses_out", int64(pst.ClausesOut))
@@ -399,16 +364,14 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 			ppspan.SetInt("clauses_subsumed", pst.ClausesSubsumed)
 			ppspan.SetInt("clauses_strengthened", pst.ClausesStrengthened)
 			ppspan.SetInt("clauses_blocked", pst.ClausesBlocked)
-			ppspan.SetInt("probe_units", pst.ProbeUnits)
 			ppspan.End()
 		}
 		if pre.Unsat {
 			// The base database is satisfiable by construction (compute
-			// every gate from its inputs; guarded hints then hold because a
-			// hint is implied wherever its guard computes true), so a root
-			// refutation can only mean an unsound rewrite; fail loudly
-			// rather than corrupt verdicts. verify's panic isolation turns
-			// this into a structured Unknown.
+			// every gate from its inputs), so a root refutation can only
+			// mean an unsound rewrite; fail loudly rather than corrupt
+			// verdicts. verify's panic isolation turns this into a
+			// structured Unknown.
 			panic("solver: incremental session base formula became unsatisfiable")
 		}
 		if s.Stop.Stopped() {
@@ -448,14 +411,14 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula, blastTerm
 		s.Stats.AssumptionLits += int64(len(assumps))
 		// Failed-literal probing under this solve's assumptions. The
 		// preprocessor only ever sees the query root as a free variable,
-		// never as an asserted unit, so its own probing cannot use it.
-		// Probing under the assumptions instead recovers each implied
-		// literal as a guarded clause (¬assumps ∨ u) the search then
-		// propagates at assumption level, and refutes outright — at zero
-		// conflicts — the queries whose root alone propagates to a
-		// conflict. Bit-sliced plans skip it: their sub-queries lean on
-		// saved phases and learnt locality from the neighbouring slices,
-		// which broad probe-derived clauses perturb more than they help.
+		// never as an asserted unit, so only probing under the
+		// assumptions can use it: it recovers each implied literal as a
+		// guarded clause (¬assumps ∨ u) the search then propagates at
+		// assumption level, and refutes outright — at zero conflicts —
+		// the queries whose root alone propagates to a conflict.
+		// Bit-sliced plans skip it: their sub-queries lean on saved
+		// phases and learnt locality from the neighbouring slices, which
+		// broad probe-derived clauses perturb more than they help.
 		if len(plan) == 1 {
 			probed, feasible := core.ProbeUnder(assumps)
 			negCtx := make([]sat.Lit, len(assumps), len(assumps)+1)

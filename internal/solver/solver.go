@@ -83,13 +83,13 @@ type Solver struct {
 	Stop *sat.StopFlag
 	// DisablePresolve turns the abstract-interpretation presolver off:
 	// every query goes straight to bit-blasting (the -presolve=off
-	// escape hatch and the baseline leg of the bench experiment).
+	// escape hatch and a leave-one-out leg of the ablate experiment).
 	DisablePresolve bool
 	// DisablePreprocess turns the CNF preprocessor off: bit-blasted
 	// clauses stream straight into the session's CDCL core instead of
 	// being staged, simplified (subsumption, variable elimination,
-	// blocked clauses, probing), and loaded (the -preprocess=off escape
-	// hatch and the baseline leg of the preprocess bench experiment).
+	// blocked clauses), and loaded (the -preprocess=off escape hatch and
+	// a leave-one-out leg of the ablate experiment).
 	DisablePreprocess bool
 	// Miter marks the next queries as output-equivalence obligations,
 	// ψ ∧ src ≠ tgt: the session may then decompose the top-level
@@ -156,15 +156,12 @@ func conjuncts(t *smt.Term) []*smt.Term {
 // Check determines satisfiability of the conjunction of the assertions.
 //
 // Unless DisablePresolve is set, an abstract-interpretation presolve
-// runs first: the formula is rewritten through pointwise-equivalent
-// singleton substitutions (absint.Simplify) — if it collapses to a
-// constant, no CDCL run happens — then a polynomial-normalization
-// check (absint.RingEqual) refutes top-level disequalities whose sides
-// are the same function of the ring Z/2^w, and the surviving formula's
-// top-level conjuncts are fed to a refinement analysis whose
-// contradiction check can still discharge the query. Refinement facts
-// that reach the CNF are seeded as unit-clause hints; being
-// consequences of the formula they never change its model set.
+// runs first and may decide the query with no CDCL run: the formula's
+// unconditional abstract value (absint.New) settles it when that value
+// is a constant, a polynomial-normalization check (absint.RingEqual)
+// refutes top-level disequalities whose sides are the same function of
+// the ring Z/2^w, and a refinement analysis of the top-level conjuncts
+// (absint.Refined) refutes them when they contradict each other.
 //
 // A query that survives presolve is answered by the Solver's session
 // (session.go): one CDCL core, bit-blaster and staged CNF shared by
@@ -173,9 +170,9 @@ func conjuncts(t *smt.Term) []*smt.Term {
 // one-query session. Unless DisablePreprocess is set, the bit-blasted
 // clauses are staged in a cnf.Formula and statically simplified
 // (subsumption, self-subsuming resolution, bounded variable
-// elimination, blocked clause elimination, failed-literal probing)
-// before they load into the core. A query built on a different
-// smt.Builder than the previous one restarts the session.
+// elimination, blocked clause elimination) before they load into the
+// core. A query built on a different smt.Builder than the previous one
+// restarts the session.
 func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	formula := b.And(assertions...)
 	s.Stats.Checks++
@@ -198,30 +195,24 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	qspan := s.Span.Child("smt-check", "solver")
 	defer qspan.End()
 
-	blastTerm := formula
-	var refined *absint.Analysis
 	if !s.DisablePresolve {
 		pspan := qspan.Child("presolve", "presolve")
 		s.Stats.TermNodesBefore += int64(formula.Size())
-		simplified := absint.Simplify(b, formula)
-		s.Stats.TermNodesAfter += int64(simplified.Size())
-		if simplified.IsTrue() {
-			// Pointwise equivalence: the original formula holds under
-			// every assignment, so the default model satisfies it.
+		// First presolve domain, bitwise: the formula's unconditional
+		// abstract value holds under every assignment, so a decided one
+		// answers the query outright.
+		switch absint.New().Of(formula).B {
+		case absint.BTrue:
+			// The default model satisfies a formula true everywhere.
 			s.Stats.Decided++
 			pspan.SetAttr("outcome", "decided-sat")
 			pspan.End()
 			return Result{Status: Sat, Model: defaultModel(assertions), Rounds: 1}
-		}
-		if simplified.IsFalse() {
+		case absint.BFalse:
 			s.Stats.Decided++
 			pspan.SetAttr("outcome", "decided-unsat")
 			pspan.End()
 			return Result{Status: Unsat, Rounds: 1}
-		}
-		if simplified != formula {
-			s.Stats.Simplified++
-			blastTerm = simplified
 		}
 		// Second presolve domain, algebraic instead of bitwise: a
 		// top-level conjunct ¬(u = v) whose sides normalize to the same
@@ -230,7 +221,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 		// obligations of the reassociation transforms (a+a·b = a·(b+1),
 		// x·(-y) = -(x·y), …) whose multiplier circuits are the most
 		// conflict-expensive CNF the corpus produces.
-		for _, cj := range conjuncts(blastTerm) {
+		for _, cj := range conjuncts(formula) {
 			if cj.Kind != smt.KNot {
 				continue
 			}
@@ -242,8 +233,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 				return Result{Status: Unsat, Rounds: 1}
 			}
 		}
-		refined = absint.Refined(conjuncts(blastTerm)...)
-		if refined.Contradiction() {
+		if absint.Refined(conjuncts(formula)...).Contradiction() {
 			// The conjuncts are mutually inconsistent in the abstract
 			// domain, which over-approximates the models: Unsat.
 			s.Stats.Decided++
@@ -251,58 +241,11 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 			pspan.End()
 			return Result{Status: Unsat, Rounds: 1}
 		}
-		if pspan != nil {
-			if blastTerm != formula {
-				pspan.SetAttr("outcome", "simplified")
-			} else {
-				pspan.SetAttr("outcome", "pass-through")
-			}
-			pspan.End()
-		}
+		pspan.SetAttr("outcome", "pass-through")
+		pspan.End()
 	}
 
-	return s.solve(qspan, b, formula, blastTerm, refined)
-}
-
-// seedHints adds unit clauses for refinement facts about subterms that
-// were actually lowered to CNF: decided Bool subterms and individual
-// known bits of BitVec subterms. Every fact is a consequence of the
-// asserted formula, so the added clauses preserve its model set while
-// pruning the CDCL search space.
-func (s *Solver) seedHints(core bitblast.ClauseDB, bl *bitblast.Blaster, an *absint.Analysis) {
-	an.Facts(func(t *smt.Term, v absint.Value) {
-		if v.IsBot() {
-			return
-		}
-		if t.IsBool() {
-			l, ok := bl.CachedLit(t)
-			if !ok {
-				return
-			}
-			switch v.B {
-			case absint.BTrue:
-				core.AddClause(l)
-				s.Stats.HintLits++
-			case absint.BFalse:
-				core.AddClause(l.Not())
-				s.Stats.HintLits++
-			}
-			return
-		}
-		bits, ok := bl.CachedBits(t)
-		if !ok {
-			return
-		}
-		for i, l := range bits {
-			if v.KO.Bit(i) == 1 {
-				core.AddClause(l)
-				s.Stats.HintLits++
-			} else if v.KZ.Bit(i) == 1 {
-				core.AddClause(l.Not())
-				s.Stats.HintLits++
-			}
-		}
-	})
+	return s.solve(qspan, b, formula)
 }
 
 func (s *Solver) extractModel(bl *bitblast.Blaster, vars map[string]*smt.Term, value func(v int) bool) *smt.Model {

@@ -25,9 +25,6 @@ type Counters struct {
 	// Decided queries were decided by the abstract-interpretation
 	// presolver alone — no CDCL run.
 	Decided int64 `json:"decided"`
-	// Simplified queries reached CDCL but on an abstractly shrunk
-	// formula.
-	Simplified int64 `json:"simplified"`
 	// RingRefuted queries were discharged by the polynomial presolve: a
 	// top-level disequality whose sides normalize to the same polynomial
 	// over Z/2^w is unsatisfiable, so no CDCL run happens. Every
@@ -35,13 +32,9 @@ type Counters struct {
 	RingRefuted int64 `json:"ring_refuted"`
 	// CDCLRuns is the number of queries that reached the SAT core.
 	CDCLRuns int64 `json:"cdcl_runs"`
-	// HintLits is the number of unit-clause literals seeded into the SAT
-	// core from presolver refinement facts.
-	HintLits int64 `json:"hint_lits"`
-	// TermNodesBefore/After total the formula DAG sizes around abstract
-	// simplification, for queries that reached it.
+	// TermNodesBefore totals the formula DAG sizes of the queries that
+	// reached the presolver.
 	TermNodesBefore int64 `json:"term_nodes_before"`
-	TermNodesAfter  int64 `json:"term_nodes_after"`
 
 	// SAT core totals, summed over every CDCL run.
 
@@ -80,8 +73,8 @@ type Counters struct {
 	// ClausesBlocked counts clauses removed by blocked clause
 	// elimination.
 	ClausesBlocked int64 `json:"clauses_blocked"`
-	// ProbeUnits counts root-level units discovered by failed-literal
-	// probing.
+	// ProbeUnits counts the literals failed-literal probing under a
+	// query's assumptions (sat.ProbeUnder) found implied.
 	ProbeUnits int64 `json:"probe_units"`
 
 	// CEGISRounds counts refinement rounds of the exists-forall engine.
@@ -115,12 +108,9 @@ var counterFields = []struct {
 	{"checks", func(c *Counters) *int64 { return &c.Checks }},
 	{"folded", func(c *Counters) *int64 { return &c.Folded }},
 	{"decided", func(c *Counters) *int64 { return &c.Decided }},
-	{"simplified", func(c *Counters) *int64 { return &c.Simplified }},
 	{"ring_refuted", func(c *Counters) *int64 { return &c.RingRefuted }},
 	{"cdcl_runs", func(c *Counters) *int64 { return &c.CDCLRuns }},
-	{"hint_lits", func(c *Counters) *int64 { return &c.HintLits }},
 	{"term_nodes_before", func(c *Counters) *int64 { return &c.TermNodesBefore }},
-	{"term_nodes_after", func(c *Counters) *int64 { return &c.TermNodesAfter }},
 	{"propagations", func(c *Counters) *int64 { return &c.Propagations }},
 	{"conflicts", func(c *Counters) *int64 { return &c.Conflicts }},
 	{"decisions", func(c *Counters) *int64 { return &c.Decisions }},
@@ -174,10 +164,4 @@ func (c Counters) Each(f func(name string, v int64)) {
 	for _, fld := range counterFields {
 		f(fld.name, *fld.get(&c))
 	}
-}
-
-// DischargedOrSimplified is the number of queries the presolver either
-// fully discharged (no CDCL run) or shrank before CDCL.
-func (c Counters) DischargedOrSimplified() int64 {
-	return c.Folded + c.Decided + c.Simplified
 }

@@ -55,11 +55,6 @@ func (c *ConstraintSet) IsInt(v ir.Value) bool {
 	return !ok || sh == shapeInt
 }
 
-// IsPtr reports whether v's class is a pointer sort.
-func (c *ConstraintSet) IsPtr(v ir.Value) bool {
-	return c.sys.shapes[c.sys.find(v)] == shapePtr
-}
-
 // SmallerPairs returns the strict width orderings width(a) < width(b)
 // contributed by zext/sext/trunc, projected onto class representatives.
 func (c *ConstraintSet) SmallerPairs() [][2]ir.Value {

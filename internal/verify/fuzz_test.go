@@ -54,10 +54,10 @@ func FuzzVerify(f *testing.F) {
 // FuzzAbsint differentially checks the abstract-interpretation domain
 // against concrete evaluation over real verification-condition
 // encodings: for every term of the encoding and every sampled model,
-// the concrete value must lie inside the abstract one; the abstract
-// simplifier must preserve concrete values; and when a model satisfies
-// the precondition conjuncts, the Refined analysis must not claim a
-// contradiction and must still contain every concrete value.
+// the concrete value must lie inside the abstract one; and when a
+// model satisfies the precondition conjuncts, the Refined analysis must
+// not claim a contradiction and must still contain every concrete
+// value.
 func FuzzAbsint(f *testing.F) {
 	for i, e := range suite.All() {
 		if i%7 == 0 { // a spread of seeds, not the whole corpus
@@ -124,11 +124,6 @@ func FuzzAbsint(f *testing.F) {
 						}
 					} else if !av.ContainsBV(got.V) {
 						t.Fatalf("abstract value %v excludes concrete %s for %s in:\n%s", av, got.V, x, src)
-					}
-					simp := absint.Simplify(b, x)
-					gs := smt.Eval(simp, m)
-					if got.IsBool != gs.IsBool || (got.IsBool && got.B != gs.B) || (!got.IsBool && !got.V.Eq(gs.V)) {
-						t.Fatalf("Simplify changed the value of %s (to %s) in:\n%s", x, simp, src)
 					}
 				}
 				sat := true

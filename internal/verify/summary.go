@@ -112,10 +112,9 @@ func (s *Summary) Render(w io.Writer, topN int) {
 		s.Stats.Valid, s.Stats.Invalid, s.Stats.Rejected, s.Stats.Unknown)
 	fmt.Fprintf(w, "solver: %d queries, %d CDCL runs, %d propagations, %d conflicts, %d decisions, %d restarts, %d learned clauses\n",
 		s.Stats.Queries, c.CDCLRuns, c.Propagations, c.Conflicts, c.Decisions, c.Restarts, c.LearnedClauses)
-	fmt.Fprintf(w, "presolve: %d folded, %d decided, %d simplified of %d checks; %d hint literals seeded\n",
-		c.Folded, c.Decided, c.Simplified, c.Checks, c.HintLits)
-	fmt.Fprintf(w, "encoding: %d CNF vars, %d CNF clauses, term DAG %d -> %d nodes, %d CEGIS rounds\n",
-		c.CNFVars, c.CNFClauses, c.TermNodesBefore, c.TermNodesAfter, c.CEGISRounds)
+	fmt.Fprintf(w, "presolve: %d folded, %d decided of %d checks\n", c.Folded, c.Decided, c.Checks)
+	fmt.Fprintf(w, "encoding: %d CNF vars, %d CNF clauses, term DAG %d nodes, %d CEGIS rounds\n",
+		c.CNFVars, c.CNFClauses, c.TermNodesBefore, c.CEGISRounds)
 	if s.Stats.PeakHeapBytes > 0 {
 		fmt.Fprintf(w, "peak live heap: %.1f MiB (sampled)\n", float64(s.Stats.PeakHeapBytes)/(1<<20))
 	}

@@ -233,12 +233,6 @@ type Result struct {
 	// attached, so `alive -v` can print per-transform solver work with
 	// telemetry off.
 	Counters telemetry.Counters
-	// QueriesDischarged counts correctness conditions (the Queries
-	// counter) decided without a single CDCL run.
-	QueriesDischarged int
-	// QueriesSimplified counts conditions where the presolver shrank
-	// at least one formula before bit-blasting.
-	QueriesSimplified int
 }
 
 const defaultDivMulMaxWidth = 8
@@ -615,14 +609,6 @@ func verifyOne(t *ir.Transform, asg *typing.Assignment, opts Options, maxConflic
 			cspan.SetInt("cegis_rounds", int64(r.Rounds))
 			cspan.SetCounters(sol.Stats.Sub(before))
 			cspan.End()
-		}
-		if res != nil {
-			if sol.Stats.CDCLRuns == before.CDCLRuns {
-				res.QueriesDischarged++
-			}
-			if sol.Stats.Simplified > before.Simplified {
-				res.QueriesSimplified++
-			}
 		}
 		switch r.Status {
 		case solver.Unsat:
