@@ -11,10 +11,15 @@
 // (more source poison weakens the premise) and T' ⊆ T (less target
 // poison weakens the obligation). The outcome is identical — the set of
 // all feasible attribute assignments intersected over type assignments —
-// because both procedures decide the same finite set of conditions.
+// because both procedures decide the same finite set of conditions. The
+// candidates differ only in flags, so one verify.Checker answers them
+// all: each type assignment keeps one solver session across candidates,
+// and a candidate pays only for the terms its flags change, much as the
+// paper's single formula shares everything but the slot Booleans.
 package attrs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -167,6 +172,7 @@ func Infer(t *ir.Transform, opts verify.Options) (*Result, error) {
 
 	// Decision cache over bitmask candidates with partial-order pruning.
 	status := map[uint32]int{} // 0 unknown, 1 correct, 2 incorrect
+	c := verify.NewChecker(t, opts)
 	check := func(mask uint32) bool {
 		if st, ok := status[mask]; ok && st != 0 {
 			return st == 1
@@ -184,7 +190,7 @@ func Infer(t *ir.Transform, opts verify.Options) (*Result, error) {
 		}
 		a := r.maskToAssignment(mask)
 		saved := r.apply(a)
-		res := verify.Verify(t, opts)
+		res := c.Check(context.Background())
 		r.restore(saved)
 		r.Checks++
 		if res.Verdict == verify.Valid {

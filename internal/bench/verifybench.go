@@ -63,7 +63,10 @@ import (
 // probe_units now counts only the literals failed-literal probing under
 // each query's assumptions finds, since the CNF preprocessor no longer
 // probes.
-const VerifyReportSchema = 7
+// Version 8: propagations now include the propagations of failed-literal
+// probing under each query's assumptions (sat.ProbeUnder), which the
+// counter used to miss; every other column keeps its meaning.
+const VerifyReportSchema = 8
 
 // VerifySlow is one entry of the report's slowest-transforms table.
 // Durations are machine-dependent and informational; the comparator

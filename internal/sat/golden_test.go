@@ -95,7 +95,7 @@ func TestGoldenFingerprints(t *testing.T) {
 				s.AddClause(MkLit(a, !model[a]), MkLit(b, rng.Intn(2) == 0))
 			}
 		}
-		failed, feasible := s.ProbeUnder(assumps[:1])
+		failed, feasible := s.ProbeUnder(assumps[:1], 1)
 		h := fnv.New64a()
 		fmt.Fprint(h, failed)
 		got[fmt.Sprintf("probe/%d", seed)] = fmt.Sprintf("feasible=%v failed=%d/%x", feasible, len(failed), h.Sum64())

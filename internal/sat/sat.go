@@ -943,7 +943,8 @@ func (s *Solver) ConflictSubset() []Lit { return s.conflictSet }
 
 // ProbeUnder runs failed-literal probing under an assumption context:
 // the context literals are pushed as decisions and propagated, then
-// every still-unassigned variable is probed in both phases. A probe
+// every still-unassigned variable numbered from or higher is probed in
+// both phases (from <= 1 probes them all). A probe
 // whose propagation conflicts proves its literal implied-false under
 // the context, so the caller may add the guarded clause
 // (¬ctx ∨ ¬lit) and have it propagate at assumption level in later
@@ -952,8 +953,10 @@ func (s *Solver) ConflictSubset() []Lit { return s.conflictSet }
 // is false when propagation alone refutes the context (the caller may
 // then add ¬ctx outright). The trail is fully restored; no clauses are
 // learned and the conflict counter is untouched, so probing trades
-// propagation effort for search conflicts, never the reverse.
-func (s *Solver) ProbeUnder(ctx []Lit) (failed []Lit, feasible bool) {
+// propagation effort for search conflicts, never the reverse. A
+// session that already probed its older variables passes the first
+// variable added since as from, so a warm query pays for what it adds.
+func (s *Solver) ProbeUnder(ctx []Lit, from int) (failed []Lit, feasible bool) {
 	if !s.ok {
 		return nil, false
 	}
@@ -989,7 +992,7 @@ func (s *Solver) ProbeUnder(ctx []Lit) (failed []Lit, feasible bool) {
 	probes := 0
 	for pass := 0; pass < 4; pass++ {
 		progress := false
-		for v := 1; v < len(s.vars); v++ {
+		for v := max(from, 1); v < len(s.vars); v++ {
 			if s.value(MkLit(v, false)) != Unassigned {
 				continue
 			}

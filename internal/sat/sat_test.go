@@ -408,6 +408,45 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestProbeUnderScope: under the context c = x5, the literal x1 fails
+// (it implies x2, x3 and x4, which together falsify the context
+// clause), yet no single probe of x2, x3 or x4 implies ¬x1 in both
+// phases, so only a probe of x1 itself finds it. ProbeUnder(ctx, 1)
+// reports it; ProbeUnder(ctx, 2), which skips variable 1, does not.
+// Either way the trail and the saved phases come back as they were.
+func TestProbeUnderScope(t *testing.T) {
+	for _, tc := range []struct {
+		from   int
+		failed []Lit
+	}{{1, []Lit{MkLit(1, false)}}, {2, nil}} {
+		s := New()
+		if !addAll(s, 5, [][]int{{-1, 2}, {-1, 3}, {-1, 4}, {-2, -3, -4, -5}}) {
+			t.Fatal("clause set refuted at AddClause")
+		}
+		for v := 1; v <= 5; v++ {
+			s.vars[v].phase = v%2 == 0
+		}
+		phases := make([]bool, len(s.vars))
+		for v := range s.vars {
+			phases[v] = s.vars[v].phase
+		}
+		trail := fmt.Sprint(s.trail, s.trailLim)
+
+		failed, feasible := s.ProbeUnder([]Lit{MkLit(5, false)}, tc.from)
+		if !feasible || fmt.Sprint(failed) != fmt.Sprint(tc.failed) {
+			t.Errorf("ProbeUnder(x5, %d) = %v, feasible %v; want %s, feasible true", tc.from, failed, feasible, tc.failed)
+		}
+		if got := fmt.Sprint(s.trail, s.trailLim); got != trail {
+			t.Errorf("from %d: trail %s after probing, want %s", tc.from, got, trail)
+		}
+		for v := range s.vars {
+			if s.vars[v].phase != phases[v] {
+				t.Errorf("from %d: phase of x%d changed by probing", tc.from, v)
+			}
+		}
+	}
+}
+
 func TestMaxConflictsBudget(t *testing.T) {
 	s := New()
 	pigeonhole(s, 9) // hard enough to not finish in 1 conflict

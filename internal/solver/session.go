@@ -46,11 +46,11 @@ type session struct {
 	solves      int64 // queries answered by this session
 	lastVars    int64 // core var count after the previous load
 	lastClauses int64 // core clause count after the previous load
+	probed      int   // first core variable no probe of this session saw
 }
 
 func (s *Solver) initSession(b *smt.Builder) {
 	core := sat.New()
-	core.Stop = s.Stop
 	se := &session{b: b, core: core}
 	var db bitblast.ClauseDB = core
 	if !s.DisablePreprocess {
@@ -59,7 +59,6 @@ func (s *Solver) initSession(b *smt.Builder) {
 	}
 	se.db = db
 	se.bl = bitblast.New(db)
-	se.bl.Stop = s.Stop
 	s.sess = se
 }
 
@@ -313,6 +312,10 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula *smt.Term)
 	warm := se.solves > 0
 
 	core, form, bl := se.core, se.form, se.bl
+	// A session may outlive the caller that opened it (verify.Checker
+	// keeps one per type assignment across checks), so each query polls
+	// its own caller's flag, not the one current at session creation.
+	core.Stop, bl.Stop = s.Stop, s.Stop
 
 	bspan := qspan.Child("bitblast", "bitblast")
 	hitsBefore := bl.Hits
@@ -409,6 +412,10 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula *smt.Term)
 		}
 		s.Stats.IncrementalSolves++
 		s.Stats.AssumptionLits += int64(len(assumps))
+		// Snapshot before probing, so this solve's propagations include
+		// the probes'. Probing learns nothing and never conflicts in
+		// search, so conflicts, decisions and the budget are unmoved.
+		before := coreCounters(core)
 		// Failed-literal probing under this solve's assumptions. The
 		// preprocessor only ever sees the query root as a free variable,
 		// never as an asserted unit, so only probing under the
@@ -419,8 +426,11 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula *smt.Term)
 		// Bit-sliced plans skip it: their sub-queries lean on saved
 		// phases and learnt locality from the neighbouring slices, which
 		// broad probe-derived clauses perturb more than they help.
+		// Variables an earlier probe of this session already saw are
+		// skipped, so a warm query probes only what it added.
 		if len(plan) == 1 {
-			probed, feasible := core.ProbeUnder(assumps)
+			probed, feasible := core.ProbeUnder(assumps, se.probed)
+			se.probed = core.NumVars() + 1
 			negCtx := make([]sat.Lit, len(assumps), len(assumps)+1)
 			for i, a := range assumps {
 				negCtx[i] = a.Not()
@@ -435,7 +445,6 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula *smt.Term)
 			}
 		}
 		core.MaxConflicts = cap
-		before := coreCounters(core)
 		r := core.Solve(assumps...)
 		se.solves++
 		d := coreCounters(core).Sub(before)

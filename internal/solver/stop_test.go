@@ -91,6 +91,37 @@ func TestCheckStoppedMidSearch(t *testing.T) {
 	}
 }
 
+// TestSessionPollsCurrentStopFlag: a session outlives the caller that
+// opened it, and a finished caller's flag never trips (verify's
+// governor only stops watching). A warm session that answers a new
+// caller must stop on that caller's flag, here tripped at the first
+// restart boundary of the core search; a core still polling the first
+// caller's flag runs on past the trip and answers the query.
+func TestSessionPollsCurrentStopFlag(t *testing.T) {
+	b := smt.NewBuilder()
+	first := &sat.StopFlag{}
+	s := Solver{Stop: first}
+	z := b.Var("z", 8)
+	if r := s.Check(b, b.Eq(b.Mul(z, z), b.ConstUint(8, 49))); r.Status != Sat || s.sess == nil {
+		t.Fatalf("opening query = %v (session %v), want a sat answer from the session", r.Status, s.sess != nil)
+	}
+	cur := &sat.StopFlag{}
+	s.Stop = cur
+	s.OnSample = func(sat.SampleStats) { cur.Stop() }
+	done := make(chan Result, 1)
+	go func() { done <- s.Check(b, hardFactoring(b)...) }()
+	select {
+	case r := <-done:
+		if r.Status != Unknown || r.Cause != CauseStopped {
+			t.Fatalf("check = %v/%v, want unknown/stopped", r.Status, r.Cause)
+		}
+	case <-time.After(10 * time.Second):
+		first.Stop() // let the search end before failing
+		<-done
+		t.Fatal("the warm session did not notice the current stop flag within 10s")
+	}
+}
+
 // TestCheckStoppedInPreprocessSamples: a query stopped while its
 // clauses are being preprocessed never reaches the core solve, yet it
 // must still hand OnSample exactly one snapshot, so a deadline that

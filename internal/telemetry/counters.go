@@ -38,6 +38,8 @@ type Counters struct {
 
 	// SAT core totals, summed over every CDCL run.
 
+	// Propagations includes those of failed-literal probing under each
+	// query's assumptions (sat.ProbeUnder).
 	Propagations int64 `json:"propagations"`
 	Conflicts    int64 `json:"conflicts"`
 	Decisions    int64 `json:"decisions"`

@@ -310,10 +310,81 @@ const escalationStart = 1 << 14
 // returns promptly (verdict Unknown, with Reason saying why) instead of
 // running an unbounded search. Any panic in the solving stack is
 // contained to this transformation and reported as
-// Unknown{internal-panic} with the stack attached.
-func VerifyContext(ctx context.Context, t *ir.Transform, opts Options) (res Result) {
+// Unknown{internal-panic} with the stack attached. It is a one-shot
+// Checker: each type assignment's session is garbage once that
+// assignment is done.
+func VerifyContext(ctx context.Context, t *ir.Transform, opts Options) Result {
+	c := Checker{t: t, opts: opts.withDefaults()}
+	return c.Check(ctx)
+}
+
+// Checker verifies one transformation again and again while only its
+// attribute flags change, as attribute inference does for each
+// candidate. It keeps one smt.Builder and one solver session per type
+// assignment across Check calls. vcgen interns variables by name and
+// restarts its fresh names on every encoding, so every term a flag does
+// not touch is the same hash-consed pointer on every call, and the
+// session's bit-blaster reuses its encoding. Reuse is sound because a
+// session's base holds only Tseitin definitions and every query is an
+// assumption (internal/solver/session.go): whatever the core learned
+// holds for any later query on the same builder. A Checker is not safe
+// for concurrent use.
+type Checker struct {
+	t    *ir.Transform
+	opts Options
+	// state holds each type assignment's session, keyed by its index in
+	// typing.Infer's sorted output; nil in a one-shot check, which keeps
+	// nothing. The index identifies the assignment completely: typing is
+	// deterministic and reads no flags, so every Check enumerates the
+	// same assignments in the same order. (The assignment's String
+	// renders only named values, so two assignments that differ in the
+	// width of an undef or a literal would share it.) An assignment
+	// whose check ends Unknown drops its entry, and a recovered panic
+	// drops them all.
+	state map[int]*assignmentState
+}
+
+// assignmentState is the builder and solver session of one type
+// assignment.
+type assignmentState struct {
+	b   *smt.Builder
+	sol solver.Solver
+}
+
+// NewChecker returns a Checker for t. Each Check verifies t as its
+// flags stand at the time of the call.
+func NewChecker(t *ir.Transform, opts Options) *Checker {
+	return &Checker{t: t, opts: opts.withDefaults(), state: map[int]*assignmentState{}}
+}
+
+// session returns the state kept for the type assignment at index, or a
+// new one, which is kept unless the check is one-shot.
+func (c *Checker) session(index int) *assignmentState {
+	if st := c.state[index]; st != nil {
+		return st
+	}
+	st := &assignmentState{
+		b: smt.NewBuilder(),
+		sol: solver.Solver{
+			DisablePresolve:   c.opts.DisablePresolve,
+			DisablePreprocess: c.opts.DisablePreprocess,
+		},
+	}
+	st.b.Simplify = !c.opts.DisableSimplify
+	if testHookSolver != nil {
+		testHookSolver(&st.sol)
+	}
+	if c.state != nil {
+		c.state[index] = st
+	}
+	return st
+}
+
+// Check verifies the transformation as VerifyContext does. Result's
+// counters are this call's own work.
+func (c *Checker) Check(ctx context.Context) (res Result) {
 	start := time.Now()
-	opts = opts.withDefaults()
+	t, opts := c.t, c.opts
 	res = Result{Transform: t, Verdict: Valid, GaveUpAssignment: -1}
 	span := startTransformSpan(opts, t)
 	// rec is non-nil when an observability sink wants solver samples: it
@@ -334,6 +405,8 @@ func VerifyContext(ctx context.Context, t *ir.Transform, opts Options) (res Resu
 	defer func() { res.Duration = time.Since(start) }()
 	defer func() {
 		if r := recover(); r != nil {
+			// The panic may have left any session half-updated.
+			clear(c.state)
 			res.Verdict = Unknown
 			res.Cex = nil
 			if inj, ok := faultinject.AsInjected(r); ok {
@@ -416,7 +489,7 @@ func VerifyContext(ctx context.Context, t *ir.Transform, opts Options) (res Resu
 			res.GaveUpAssignment = i
 			return res
 		}
-		v, cex, queries, escalations, detail := verifyAssignment(t, asg, opts, g, &res, span, i, rec)
+		v, cex, queries, escalations, detail := c.verifyAssignment(asg, g, &res, span, i, rec)
 		res.Queries += queries
 		res.Escalations += escalations
 		switch v {
@@ -447,7 +520,7 @@ type unknownDetail struct {
 // conflict-budget escalation ladder on budget-bound Unknowns while the
 // deadline leaves time: each retry multiplies the budget by 4, so the
 // total work stays within ~4/3 of the final (successful) rung.
-func verifyAssignment(t *ir.Transform, asg *typing.Assignment, opts Options, g *governor, res *Result, span *telemetry.Span, index int, rec *queryRecorder) (v Verdict, cex *Counterexample, queries, escalations int, detail unknownDetail) {
+func (c *Checker) verifyAssignment(asg *typing.Assignment, g *governor, res *Result, span *telemetry.Span, index int, rec *queryRecorder) (v Verdict, cex *Counterexample, queries, escalations int, detail unknownDetail) {
 	if rec != nil {
 		// Samples emitted from here on belong to this assignment; the
 		// verification is single-threaded so a plain store suffices.
@@ -465,17 +538,20 @@ func verifyAssignment(t *ir.Transform, asg *typing.Assignment, opts Options, g *
 			aspan.End()
 		}()
 	}
-	budget := opts.MaxConflicts
+	budget := c.opts.MaxConflicts
 	if g.hasDeadline() && budget <= 0 {
 		budget = escalationStart
 	}
 	for {
 		var q int
-		v, cex, q, detail = verifyOne(t, asg, opts, budget, g, res, aspan, rec)
+		v, cex, q, detail = c.verifyOne(asg, c.session(index), budget, g, res, aspan, rec)
 		queries += q
 		if v != Unknown {
 			return v, cex, queries, escalations, unknownDetail{}
 		}
+		// The search may have stopped mid-bit-blast or mid-preprocess:
+		// the next rung, and the next Check, start this assignment afresh.
+		delete(c.state, index)
 		canEscalate := g.hasDeadline() && budget > 0 && g.timeLeft() &&
 			detail.reason == ReasonConflictBudget
 		if !canEscalate {
@@ -493,15 +569,13 @@ type condition struct {
 	body *smt.Term
 }
 
-// buildConditions encodes t under asg and returns the negated
+// buildConditions encodes t under asg on b and returns the negated
 // correctness conditions plus the source undef variables they are
 // universally closed over after negation.
-func buildConditions(t *ir.Transform, asg *typing.Assignment, opts Options) (*smt.Builder, *vcgen.Encoding, []condition, error) {
-	b := smt.NewBuilder()
-	b.Simplify = !opts.DisableSimplify
+func buildConditions(b *smt.Builder, t *ir.Transform, asg *typing.Assignment) (*vcgen.Encoding, []condition, error) {
 	enc, err := vcgen.Encode(b, t, asg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var conds []condition
 
@@ -538,7 +612,7 @@ func buildConditions(t *ir.Transform, asg *typing.Assignment, opts Options) (*sm
 		body := b.And(enc.Pre, alpha, enc.Mem.SrcSeqDef, enc.Mem.OutsideLocal, b.Ne(enc.Mem.SrcFinal, enc.Mem.TgtFinal))
 		conds = append(conds, condition{CexMemoryMismatch, t.Root, body})
 	}
-	return b, enc, conds, nil
+	return enc, conds, nil
 }
 
 // condName names a correctness condition for give-up diagnostics.
@@ -559,9 +633,10 @@ func condName(k CexKind) string {
 // verifyOne checks conditions 1-4 under a single type assignment with
 // the given conflict budget, reporting which condition and why on an
 // Unknown outcome.
-func verifyOne(t *ir.Transform, asg *typing.Assignment, opts Options, maxConflicts int64, g *governor, res *Result, aspan *telemetry.Span, rec *queryRecorder) (Verdict, *Counterexample, int, unknownDetail) {
+func (c *Checker) verifyOne(asg *typing.Assignment, st *assignmentState, maxConflicts int64, g *governor, res *Result, aspan *telemetry.Span, rec *queryRecorder) (Verdict, *Counterexample, int, unknownDetail) {
+	t, b := c.t, st.b
 	vspan := aspan.Child("vcgen", "vcgen")
-	b, enc, conds, err := buildConditions(t, asg, opts)
+	enc, conds, err := buildConditions(b, t, asg)
 	if err != nil {
 		vspan.SetAttr("error", err.Error())
 		vspan.End()
@@ -572,23 +647,18 @@ func verifyOne(t *ir.Transform, asg *typing.Assignment, opts Options, maxConflic
 	// One solver session per type assignment: every condition and CEGIS
 	// round below shares this solver's core, so their VCs — built on one
 	// Builder and sharing most of their term DAG — become assumption
-	// flips over a common encoding.
-	sol := solver.Solver{
-		MaxConflicts:      maxConflicts,
-		Stop:              &g.flag,
-		DisablePresolve:   opts.DisablePresolve,
-		DisablePreprocess: opts.DisablePreprocess,
-	}
-	if testHookSolver != nil {
-		testHookSolver(&sol)
-	}
+	// flips over a common encoding. A kept session also carries over
+	// from this assignment's previous Check, so this call's budget,
+	// stop flag and sampler replace the previous call's.
+	sol := &st.sol
+	sol.MaxConflicts, sol.Stop, sol.OnSample = maxConflicts, &g.flag, nil
 	if rec != nil {
 		sol.OnSample = rec.onSample
 	}
-	if res != nil {
-		// Aggregate however the loop exits (valid, invalid, or unknown).
-		defer func() { res.Counters.Add(sol.Stats) }()
-	}
+	// Aggregate this call's own work however the loop exits (valid,
+	// invalid, or unknown).
+	before := sol.Stats
+	defer func() { res.Counters.Add(sol.Stats.Sub(before)) }()
 	queries := 0
 	for _, cond := range conds {
 		queries++
@@ -643,7 +713,9 @@ func DumpQueries(t *ir.Transform, opts Options) ([]string, error) {
 	if rootInstr := t.SourceValue(t.Root); rootInstr != nil {
 		typing.SortByPreference(asgs, rootInstr)
 	}
-	_, enc, conds, err := buildConditions(t, asgs[0], opts)
+	b := smt.NewBuilder()
+	b.Simplify = !opts.DisableSimplify
+	enc, conds, err := buildConditions(b, t, asgs[0])
 	if err != nil {
 		return nil, err
 	}
