@@ -124,15 +124,6 @@ func OpenJournal(path string, opts Options) (*Journal, error) {
 // at negligible cost.
 type Tracer = telemetry.Tracer
 
-// MetricsRegistry is a concurrency-safe registry of named gauges,
-// counters, and histogram views with a Prometheus text-exposition
-// encoder. Attach one via Options.Metrics to publish live solver
-// samples, and serve it with NewDebugServer.
-type MetricsRegistry = metrics.Registry
-
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
 // FlightRecorder serializes post-mortem NDJSON artifacts for hard
 // queries — verifications that end Unknown or exceed its Slow
 // threshold. Attach one via Options.Flight.
@@ -150,16 +141,16 @@ type SolverSample = metrics.SolverSample
 type DebugServer = metrics.DebugServer
 
 // NewDebugServer starts the debug HTTP server on addr (host:port;
-// ":0" picks a free port — read it back from Addr). status, when
-// non-nil, supplies the /debug/status body.
-func NewDebugServer(addr string, reg *MetricsRegistry, status func() any) (*DebugServer, error) {
-	return metrics.NewDebugServer(addr, reg, status)
+// ":0" picks a free port — read it back from Addr), serving live's
+// /metrics series and /debug/status snapshot.
+func NewDebugServer(addr string, live *Live) (*DebugServer, error) {
+	return metrics.NewDebugServer(addr, live.WriteMetrics, func() any { return live.Snapshot() })
 }
 
-// Live is the mutable corpus-run status: attach one via
+// Live is the record of a running corpus: attach one via
 // CorpusOptions.Live and RunCorpus keeps it current (per-worker
-// transform, queue depth, verdict tallies). Snapshot feeds
-// /debug/status; Register exposes the tallies as /metrics series.
+// transform, queue depth, verdict tallies, the last solver sample).
+// Snapshot feeds /debug/status; WriteMetrics writes /metrics.
 type Live = verify.Live
 
 // LiveSnapshot is a point-in-time copy of a Live block, JSON-ready.

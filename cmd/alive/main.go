@@ -215,11 +215,8 @@ func run() int {
 	// queries the solver gave up on.
 	var live *alive.Live
 	if *debugAddr != "" {
-		reg := alive.NewMetricsRegistry()
 		live = alive.NewLive()
-		live.Register(reg)
-		opts.Metrics = reg
-		srv, err := alive.NewDebugServer(*debugAddr, reg, func() any { return live.Snapshot() })
+		srv, err := alive.NewDebugServer(*debugAddr, live)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "alive: -debug-addr: %v\n", err)
 			return 2

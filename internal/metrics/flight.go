@@ -17,10 +17,10 @@ import (
 // "sample" record per retained ring-buffer entry.
 const FlightSchema = 1
 
-// defaultFlightSamples is the ring capacity when MaxSamples is unset:
-// enough to cover the last few dozen restart boundaries of a grind
-// without the artifact growing past a few KiB.
-const defaultFlightSamples = 64
+// FlightSamples is the per-verification sample-ring capacity: enough
+// to cover the last few dozen restart boundaries of a grind without
+// the artifact growing past a few KiB.
+const FlightSamples = 64
 
 // FlightRecorder serializes post-mortem artifacts for hard queries:
 // when a verification ends Unknown (any reason, including a memory-
@@ -34,19 +34,8 @@ type FlightRecorder struct {
 	// Slow, when positive, also triggers recording for verifications
 	// whose wall time meets or exceeds it, whatever their verdict.
 	Slow time.Duration
-	// MaxSamples bounds the per-verification sample ring (0 means
-	// defaultFlightSamples).
-	MaxSamples int
 
 	seq atomic.Int64
-}
-
-// Capacity is the sample-ring size verifications should allocate.
-func (f *FlightRecorder) Capacity() int {
-	if f.MaxSamples > 0 {
-		return f.MaxSamples
-	}
-	return defaultFlightSamples
 }
 
 // ShouldRecord reports whether a verification outcome trips the

@@ -9,19 +9,19 @@ import (
 	"testing"
 	"time"
 
+	"alive/internal/sat"
 	"alive/internal/telemetry"
 )
 
 func TestFlightRecorderArtifact(t *testing.T) {
 	dir := t.TempDir()
-	fr := &FlightRecorder{Dir: dir, MaxSamples: 4}
+	fr := &FlightRecorder{Dir: dir}
 
-	ring := NewRing(fr.Capacity())
+	ring := NewRing(4)
 	for i := 1; i <= 6; i++ {
 		ring.Push(SolverSample{
-			Conflicts: int64(i * 100),
-			Trail:     i,
-			Condition: "value",
+			Condition:   "value",
+			SampleStats: sat.SampleStats{Conflicts: int64(i * 100), Trail: i},
 		})
 	}
 	var counters telemetry.Counters

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -13,7 +14,7 @@ import (
 // it composes with binaries that also use http.DefaultServeMux) and
 // serves
 //
-//	/metrics       — the registry in Prometheus text exposition format
+//	/metrics       — whatever metrics writes, in Prometheus text format
 //	/debug/status  — live run status as JSON (whatever status() returns)
 //	/debug/pprof/* — the standard runtime profiles
 //
@@ -26,9 +27,10 @@ type DebugServer struct {
 	done chan struct{}
 }
 
-// NewDebugServer binds addr and starts serving. status may be nil, in
-// which case /debug/status serves an empty object.
-func NewDebugServer(addr string, reg *Registry, status func() any) (*DebugServer, error) {
+// NewDebugServer binds addr and starts serving. metrics writes the
+// /metrics body; status may be nil, in which case /debug/status serves
+// an empty object.
+func NewDebugServer(addr string, metrics func(io.Writer) error, status func() any) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -36,7 +38,9 @@ func NewDebugServer(addr string, reg *Registry, status func() any) (*DebugServer
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WriteText(w)
+		// A failed write means the scraper went away; no one is left to
+		// report it to.
+		_ = metrics(w)
 	})
 	mux.HandleFunc("/debug/status", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -9,12 +9,14 @@ import (
 )
 
 func TestDebugServerEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("alive_up", "1 while the run is live.").Set(1)
+	metrics := func(w io.Writer) error {
+		WriteGauge(w, "alive_up", "1 while the run is live.", 1)
+		return nil
+	}
 	type status struct {
 		Completed int `json:"completed"`
 	}
-	srv, err := NewDebugServer("127.0.0.1:0", reg, func() any { return status{Completed: 5} })
+	srv, err := NewDebugServer("127.0.0.1:0", metrics, func() any { return status{Completed: 5} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 }
 
 func TestDebugServerBadAddr(t *testing.T) {
-	if _, err := NewDebugServer("256.0.0.1:bad", NewRegistry(), nil); err == nil {
+	if _, err := NewDebugServer("256.0.0.1:bad", func(io.Writer) error { return nil }, nil); err == nil {
 		t.Error("expected listen error")
 	}
 }

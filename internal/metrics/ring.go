@@ -1,11 +1,11 @@
 package metrics
 
+import "alive/internal/sat"
+
 // SolverSample is one point-in-time snapshot of CDCL search internals,
 // taken at restart boundaries (and on Unknown exits) by the
 // sat.Solver.OnSample hook and annotated by the verifier with where in
-// the verification the solve belongs. The x100 fields carry
-// fixed-point values so the whole sample stays integer (NDJSON- and
-// gauge-friendly).
+// the verification the solve belongs.
 type SolverSample struct {
 	// ElapsedUS is microseconds since the verification began.
 	ElapsedUS int64 `json:"elapsed_us"`
@@ -14,26 +14,7 @@ type SolverSample struct {
 	// Condition names the verification condition being checked
 	// (defined/poison/value/memory...).
 	Condition string `json:"condition"`
-
-	// Cumulative search totals for the owning SAT core.
-	Conflicts    int64 `json:"conflicts"`
-	Propagations int64 `json:"propagations"`
-	Decisions    int64 `json:"decisions"`
-	Restarts     int64 `json:"restarts"`
-	Learned      int64 `json:"learned"`
-
-	// Clause-database shape at the sample instant.
-	Learnts     int `json:"learnts"`
-	LearntCore  int `json:"learnt_core"`
-	LearntTier2 int `json:"learnt_tier2"`
-	Vars        int `json:"vars"`
-	Clauses     int `json:"clauses"`
-
-	// Search-quality signals: current trail depth, the recent-LBD ring
-	// mean ×100, and the trail-size EMA at conflicts ×100.
-	Trail         int   `json:"trail"`
-	RecentLBDx100 int64 `json:"recent_lbd_x100"`
-	TrailEMAx100  int64 `json:"trail_ema_x100"`
+	sat.SampleStats
 }
 
 // Ring is a fixed-capacity buffer of the most recent SolverSamples for
@@ -66,11 +47,8 @@ func (r *Ring) Push(s SolverSample) {
 	r.total++
 }
 
-// Len is the number of samples currently held.
-func (r *Ring) Len() int { return len(r.buf) }
-
-// Total is the number of samples ever pushed (>= Len once eviction
-// starts).
+// Total is the number of samples ever pushed (more than the ring
+// holds once eviction starts).
 func (r *Ring) Total() int64 { return r.total }
 
 // Samples returns the held samples oldest-first, as a fresh slice.

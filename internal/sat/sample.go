@@ -6,32 +6,33 @@ package sat
 // knows nor cares what the observability layer does with it — and every
 // field is integral so consumers can feed gauges and NDJSON records
 // without float plumbing; the two quality signals that are naturally
-// fractional are carried as fixed-point ×100.
+// fractional are carried as fixed-point ×100. The JSON tags name the
+// fields of a flight artifact's sample records.
 type SampleStats struct {
 	// Cumulative search totals for this core (across all Solve calls in
 	// an incremental session).
-	Conflicts    int64
-	Propagations int64
-	Decisions    int64
-	Restarts     int64
-	Learned      int64
+	Conflicts    int64 `json:"conflicts"`
+	Propagations int64 `json:"propagations"`
+	Decisions    int64 `json:"decisions"`
+	Restarts     int64 `json:"restarts"`
+	Learned      int64 `json:"learned"`
 
 	// Clause-database shape at the sample instant: total learnts and
 	// the permanent/mid tiers of the LBD-tiered policy (the remainder is
 	// the local reduction pool), plus problem size.
-	Learnts     int
-	LearntCore  int
-	LearntTier2 int
-	Vars        int
-	Clauses     int
+	Learnts     int `json:"learnts"`
+	LearntCore  int `json:"learnt_core"`
+	LearntTier2 int `json:"learnt_tier2"`
+	Vars        int `json:"vars"`
+	Clauses     int `json:"clauses"`
 
 	// Search-quality signals: the current trail depth, the mean LBD of
 	// the recent-learnt ring ×100 (0 when the ring is empty), and the
 	// trail-size EMA at conflicts ×100 — the same signals the
 	// Glucose-style restart policy reads.
-	Trail         int
-	RecentLBDx100 int64
-	TrailEMAx100  int64
+	Trail         int   `json:"trail"`
+	RecentLBDx100 int64 `json:"recent_lbd_x100"`
+	TrailEMAx100  int64 `json:"trail_ema_x100"`
 }
 
 // Sample builds a snapshot of the search internals, the one OnSample

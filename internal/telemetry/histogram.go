@@ -40,20 +40,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum) / float64(h.N)
 }
 
-// Merge accumulates o into h, bucket by bucket — how per-worker
-// histograms from the corpus driver aggregate into one run-wide
-// histogram for the /metrics endpoint.
-func (h *Histogram) Merge(o Histogram) {
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-}
-
 // Render draws the non-empty bucket range as rows of
 // "<upper-bound><unit> count bar", scaled to a 40-column bar.
 func (h *Histogram) Render(unit string) string {

@@ -1,43 +1,9 @@
 package telemetry
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for _, v := range []int64{0, 1, 5} {
-		a.Observe(v)
-	}
-	for _, v := range []int64{2, 900} {
-		b.Observe(v)
-	}
-	a.Merge(b)
-	if a.N != 5 || a.Sum != 908 || a.Max != 900 {
-		t.Fatalf("merged N=%d Sum=%d Max=%d", a.N, a.Sum, a.Max)
-	}
-	var want Histogram
-	for _, v := range []int64{0, 1, 5, 2, 900} {
-		want.Observe(v)
-	}
-	if !reflect.DeepEqual(a, want) {
-		t.Fatalf("merge != observing the union\n got %+v\nwant %+v", a, want)
-	}
-	// Merging an empty histogram is the identity.
-	before := a
-	a.Merge(Histogram{})
-	if !reflect.DeepEqual(a, before) {
-		t.Fatal("merging empty changed the histogram")
-	}
-	// Merging into an empty histogram copies.
-	var c Histogram
-	c.Merge(want)
-	if !reflect.DeepEqual(c, want) {
-		t.Fatal("merge into empty != copy")
-	}
-}
 
 func TestHistogramZeroAndMaxBucketEdges(t *testing.T) {
 	var h Histogram
@@ -56,8 +22,7 @@ func TestHistogramZeroAndMaxBucketEdges(t *testing.T) {
 		t.Errorf("zero-only Render wrong:\n%s", out)
 	}
 	// The top bucket (index 64) is unreachable from Observe on int64
-	// inputs but can arrive via Merge of foreign data; its bound label
-	// must not wrap around to "<0".
+	// inputs; its bound label must not wrap around to "<0".
 	var top Histogram
 	top.Counts[64] = 2
 	top.N = 2

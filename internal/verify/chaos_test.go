@@ -139,8 +139,36 @@ func checkChaosInvariants(t *testing.T, label string, ts []*ir.Transform, baseli
 	if !disruptive && unknowns != 0 {
 		t.Errorf("%s: %d Unknowns with no disruptive fault fired (%v)", label, unknowns, fired)
 	}
-	if stats.Unknown != unknowns {
-		t.Errorf("%s: stats.Unknown=%d but %d Unknown results", label, stats.Unknown, unknowns)
+	// Every tally must match a recount of the results it came from.
+	var want CorpusStats
+	for _, r := range results {
+		switch r.Verdict {
+		case Valid:
+			want.Valid++
+		case Invalid:
+			want.Invalid++
+		case Rejected:
+			want.Rejected++
+		default:
+			want.Unknown++
+			switch r.Reason {
+			case ReasonPanic:
+				want.Panics++
+			case ReasonCancelled:
+				want.Cancelled++
+			}
+		}
+		want.Queries += r.Queries
+		want.Escalations += r.Escalations
+		want.Counters.Add(r.Counters)
+	}
+	got := CorpusStats{
+		Valid: stats.Valid, Invalid: stats.Invalid, Rejected: stats.Rejected,
+		Unknown: stats.Unknown, Panics: stats.Panics, Cancelled: stats.Cancelled,
+		Queries: stats.Queries, Escalations: stats.Escalations, Counters: stats.Counters,
+	}
+	if got != want {
+		t.Errorf("%s: tallies %+v differ from a recount of the results %+v", label, got, want)
 	}
 }
 

@@ -36,10 +36,11 @@ type CorpusOptions struct {
 	// appended and fsync'd as it completes. Open with CreateJournal (new
 	// run) or OpenJournal (resume).
 	Journal *Journal
-	// Live, when non-nil, is kept current with the run's progress —
-	// per-worker current transform, queue depth, verdict tallies,
-	// counter totals — for the /debug/status endpoint and the /metrics
-	// series Live.Register exposes.
+	// Live, when non-nil, is the run's record, kept current as results
+	// land — per-worker current transform, queue depth, verdict
+	// tallies, counter totals, the last solver sample — for the
+	// /debug/status endpoint and the /metrics series Live.WriteMetrics
+	// writes. Nil gives the run a private one.
 	Live *Live
 }
 
@@ -84,6 +85,29 @@ type CorpusStats struct {
 	JournalError error
 }
 
+// add folds one result into the verdict tallies and work totals.
+func (s *CorpusStats) add(r Result) {
+	switch r.Verdict {
+	case Valid:
+		s.Valid++
+	case Invalid:
+		s.Invalid++
+	case Rejected:
+		s.Rejected++
+	default:
+		s.Unknown++
+		switch r.Reason {
+		case ReasonPanic:
+			s.Panics++
+		case ReasonCancelled:
+			s.Cancelled++
+		}
+	}
+	s.Queries += r.Queries
+	s.Escalations += r.Escalations
+	s.Counters.Add(r.Counters)
+}
+
 // memSampleInterval is how often the corpus memory sampler probes the
 // live heap — package-level so tests can tighten it.
 var memSampleInterval = 250 * time.Millisecond
@@ -111,6 +135,12 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 		workers = len(ts)
 	}
 
+	live := opts.Live
+	if live == nil {
+		live = NewLive()
+	}
+	live.begin(len(ts), workers)
+
 	results := make([]Result, len(ts))
 	done := make([]bool, len(ts))
 
@@ -126,7 +156,9 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 			next++
 		}
 	}
-	complete := func(i int, r Result) {
+	// complete records worker's result for transform i, exactly once.
+	// Lock order: mu, then the Live record's.
+	complete := func(worker, i int, r Result) {
 		if opts.Journal != nil && !r.Resumed {
 			opts.Journal.Append(ts[i], r)
 		}
@@ -135,17 +167,17 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 		if done[i] {
 			// Idempotent: a worker-level recover after a normal
 			// completion (a fault injected in a deferred finisher) must
-			// not overwrite the verdict already streamed.
+			// not overwrite or recount the verdict already streamed.
 			return
 		}
 		results[i] = r
 		done[i] = true
+		live.finish(worker, r)
 		flush()
 	}
 
 	// Resume: restore journaled verdicts up front so the feed skips
 	// them; the contiguous restored prefix streams immediately.
-	resumed := 0
 	skip := make([]bool, len(ts))
 	if opts.Journal != nil {
 		for i, t := range ts {
@@ -153,7 +185,7 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 				results[i] = restoreResult(t, rec)
 				done[i] = true
 				skip[i] = true
-				resumed++
+				live.resume(results[i])
 			}
 		}
 		mu.Lock()
@@ -165,10 +197,9 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 	if opts.TransformTimeout > 0 && (vopts.Timeout <= 0 || opts.TransformTimeout < vopts.Timeout) {
 		vopts.Timeout = opts.TransformTimeout
 	}
-
-	if opts.Live != nil {
-		opts.Live.begin(len(ts), workers, resumed)
-	}
+	// Only a caller's Live hands solver samples on: a private record has
+	// no reader, so its verifications skip the sampling cost.
+	vopts.live = opts.Live
 
 	// In-flight registry for the memory governor: verifications register
 	// their stop flag on start (in dispatch order — seq is the "heaviest"
@@ -275,10 +306,6 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 				// escaping a deferred span finisher) must cost only this
 				// transformation, never the pool.
 				func() {
-					// tallied mirrors complete()'s idempotence for the Live
-					// block: a fault injected after a normal completion must
-					// not double-count the transform.
-					tallied := false
 					defer func() {
 						if r := recover(); r != nil {
 							rr := Result{Transform: ts[i], Verdict: Unknown, GaveUpAssignment: -1}
@@ -294,25 +321,15 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 								rr.Err = fmt.Errorf("corpus worker panic: %v", r)
 								rr.PanicStack = string(debug.Stack())
 							}
-							if opts.Live != nil && !tallied {
-								opts.Live.finish(worker, rr)
-							}
-							complete(i, rr)
+							complete(worker, i, rr)
 						}
 					}()
 					faultinject.Fire(faultinject.SiteCorpusWorker, nil)
-					if opts.Live != nil {
-						opts.Live.dispatch(worker, ts[i].Name)
-					}
+					live.dispatch(worker, ts[i].Name)
 					// Label the goroutine so CPU-profile samples attribute
 					// to the transformation being verified.
 					pprof.Do(ctx, pprof.Labels("transform", ts[i].Name), func(ctx context.Context) {
-						r := VerifyContext(ctx, ts[i], wopts)
-						if opts.Live != nil {
-							opts.Live.finish(worker, r)
-							tallied = true
-						}
-						complete(i, r)
+						complete(worker, i, VerifyContext(ctx, ts[i], wopts))
 					})
 				}()
 			}
@@ -341,7 +358,7 @@ feed:
 	if ctx.Err() == context.DeadlineExceeded {
 		skipReason = ReasonDeadline
 	}
-	stats := CorpusStats{Total: len(ts), Resumed: resumed}
+	stats := live.corpusStats()
 	mu.Lock()
 	for i := range results {
 		if !done[i] {
@@ -352,34 +369,12 @@ feed:
 				GaveUpAssignment: -1,
 			}
 			done[i] = true
-		} else if !results[i].Resumed {
-			stats.Completed++
+			stats.add(results[i])
 		}
 	}
 	flush()
 	mu.Unlock()
 
-	for _, r := range results {
-		switch r.Verdict {
-		case Valid:
-			stats.Valid++
-		case Invalid:
-			stats.Invalid++
-		case Rejected:
-			stats.Rejected++
-		default:
-			stats.Unknown++
-			switch r.Reason {
-			case ReasonPanic:
-				stats.Panics++
-			case ReasonCancelled:
-				stats.Cancelled++
-			}
-		}
-		stats.Queries += r.Queries
-		stats.Escalations += r.Escalations
-		stats.Counters.Add(r.Counters)
-	}
 	imu.Lock()
 	stats.MemoryAborts = memAborts
 	imu.Unlock()

@@ -62,6 +62,44 @@ func TestRunCorpusOrderingAndStats(t *testing.T) {
 	}
 }
 
+// TestRunCorpusLiveReused runs two corpora through one Live record:
+// each call's CorpusStats, and the snapshot taken after it, must
+// describe that call alone.
+func TestRunCorpusLiveReused(t *testing.T) {
+	live := NewLive()
+	runs := [][]*ir.Transform{
+		{simpleValid(t, "v0"), parseNamed(t, "bug", "%r = lshr %x, 1\n=>\n%r = ashr %x, 1\n"), simpleValid(t, "v1")},
+		{parseNamed(t, "mul", "%r = mul %x, 2\n=>\n%r = shl %x, 1\n")},
+	}
+	for n, ts := range runs {
+		results, stats := RunCorpus(context.Background(), ts, CorpusOptions{
+			Verify:  Options{Widths: []int{4}},
+			Workers: 2,
+			Live:    live,
+		})
+		var want CorpusStats
+		for _, r := range results {
+			switch r.Verdict {
+			case Valid:
+				want.Valid++
+			case Invalid:
+				want.Invalid++
+			}
+			want.Queries += r.Queries
+			want.Counters.Add(r.Counters)
+		}
+		if stats.Total != len(ts) || stats.Completed != len(ts) || stats.Valid != want.Valid ||
+			stats.Invalid != want.Invalid || stats.Queries != want.Queries || stats.Counters != want.Counters {
+			t.Fatalf("run %d: stats = %+v, want the tallies of its own %d results %+v", n, stats, len(ts), want)
+		}
+		snap := live.Snapshot()
+		if snap.Total != len(ts) || snap.Completed != len(ts) || snap.Valid != want.Valid ||
+			snap.Invalid != want.Invalid || snap.Queries != want.Queries {
+			t.Fatalf("run %d: snapshot = %+v, want the tallies of its own %d results", n, snap, len(ts))
+		}
+	}
+}
+
 // TestRunCorpusFaultTolerance is the acceptance scenario: a corpus with
 // an injected panicking transform and an injected hard query under a
 // tiny deadline completes with per-transform Unknown verdicts carrying

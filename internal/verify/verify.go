@@ -171,12 +171,6 @@ type Options struct {
 	// verification with Unknown (out-of-memory) instead of letting the
 	// process be OOM-killed. Single Verify/VerifyContext calls ignore it.
 	MaxHeapBytes uint64
-	// Metrics, when non-nil, receives live solver gauges (trail depth,
-	// learnt-DB tier sizes, recent LBD, restart cadence) sampled at
-	// every restart boundary of every SAT core this verification runs —
-	// the feed behind the /metrics debug endpoint. Nil keeps the
-	// pipeline sampler-free at one pointer test per restart.
-	Metrics *metrics.Registry
 	// Flight, when non-nil, arms the flight recorder: a verification
 	// that ends Unknown (any reason — deadline, conflict budget,
 	// memory-governor trip, panic) or outlasts Flight.Slow serializes
@@ -189,6 +183,11 @@ type Options struct {
 	// the verification finishes. RunCorpus uses this same-package seam to
 	// register in-flight verifications with the memory governor.
 	onStart func(t *ir.Transform, flag *sat.StopFlag) func()
+	// live, when non-nil, receives the solver samples of every SAT core
+	// this verification runs, for the /metrics solver gauges. RunCorpus
+	// sets it to CorpusOptions.Live; nil keeps the pipeline sampler-free
+	// at one pointer test per restart.
+	live *Live
 }
 
 // Result is the outcome of Verify.
@@ -388,10 +387,10 @@ func (c *Checker) Check(ctx context.Context) (res Result) {
 	res = Result{Transform: t, Verdict: Valid, GaveUpAssignment: -1}
 	span := startTransformSpan(opts, t)
 	// rec is non-nil when an observability sink wants solver samples: it
-	// carries the SAT cores' restart-boundary snapshots into the live
-	// gauges and the flight ring.
+	// carries the SAT cores' restart-boundary snapshots into the Live
+	// record and the flight ring.
 	var rec *queryRecorder
-	if opts.Metrics != nil || opts.Flight != nil {
+	if opts.live != nil || opts.Flight != nil {
 		rec = newQueryRecorder(opts, start)
 	}
 	// Deferred LIFO: the span finalizer registered first runs last, after
