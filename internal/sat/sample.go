@@ -48,12 +48,12 @@ func (s *Solver) Sample() SampleStats {
 		Learned:      s.learned,
 		Learnts:      len(s.learnts),
 		Vars:         len(s.vars) - 1,
-		Clauses:      len(s.clauses),
+		Clauses:      s.numClauses,
 		Trail:        len(s.trail),
 		TrailEMAx100: int64(s.trailEma * 100),
 	}
 	for _, c := range s.learnts {
-		switch c.tier {
+		switch s.meta(c).tier {
 		case tierCore:
 			st.LearntCore++
 		case tierTwo:

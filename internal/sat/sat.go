@@ -7,8 +7,9 @@
 package sat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"alive/internal/faultinject"
 )
@@ -74,12 +75,11 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// Learned-clause tiers, in increasing order of worth. Problem clauses
-// carry tierLocal's zero value but are never reduced; for learnt
-// clauses the tier drives the three-tier database policy: core clauses
-// (LBD ≤ coreLBDCut) are kept forever, tier2 clauses (LBD ≤
-// tier2LBDCut) survive until they go unused for tier2Stale conflicts,
-// and local clauses are the reduction pool.
+// Learned-clause tiers, in increasing order of worth. The tier drives
+// the three-tier database policy: core clauses (LBD ≤ coreLBDCut) are
+// kept forever, tier2 clauses (LBD ≤ tier2LBDCut) survive until they go
+// unused for tier2Stale conflicts, and local clauses are the reduction
+// pool. Problem clauses have no tier and are never reduced.
 const (
 	tierLocal int8 = iota
 	tierTwo
@@ -94,24 +94,38 @@ const (
 	tier2Stale = 30000
 )
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	deleted  bool // removed from the database; stale references skip it
-	tier     int8
-	lbd      int32 // literal block distance (learnt clauses only)
+// cref is a clause's offset in the solver's arena; 0 is no clause. The
+// arena holds each clause inline: a header word, the clause's literals,
+// and, for a learnt clause, a trailing word that indexes its clauseMeta.
+// The header is the literal count shifted left by hdrShift, or'ed with
+// the flags below. Watchers and reasons hold crefs, not pointers, so the
+// garbage collector never scans them; offsets limit the arena to 2^32
+// words.
+type cref uint32
+
+// Clause header flags.
+const (
+	hdrLearnt  = 1 << 0 // also the length of the trailing metadata index
+	hdrDeleted = 1 << 1 // removed from the database; its words are dead
+	hdrShift   = 2
+)
+
+// clauseMeta is what the database policy tracks for a learnt clause.
+type clauseMeta struct {
 	activity float64
 	touched  int64 // conflict count at last use in conflict analysis
+	lbd      int32 // literal block distance
+	tier     int8
 }
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
 type varData struct {
 	level    int32 // decision level of the assignment
-	reason   *clause
+	reason   cref
 	activity float64
 	phase    bool // saved phase: last assigned polarity (true = positive)
 	seen     bool // scratch for conflict analysis
@@ -125,8 +139,15 @@ type Solver struct {
 	// reading a literal's value is one load with no branch on polarity.
 	vals    []Value
 	watches [][]watcher
-	clauses []*clause
-	learnts []*clause
+
+	// arena stores every clause (see cref); arena[0] pads offset 0.
+	// metas holds the learnt clauses' metadata, and wasted counts the
+	// arena words of deleted clauses, reclaimed by compact.
+	arena      []Lit
+	metas      []clauseMeta
+	wasted     int
+	numClauses int    // problem clauses stored
+	learnts    []cref // live learnt clauses, in arena order
 
 	trail    []Lit
 	trailLim []int // decision-level boundaries in trail
@@ -198,13 +219,26 @@ type Solver struct {
 	ok bool // false once the clause set is trivially unsat
 
 	assumptions []Lit
-	conflictSet []Lit // final conflict clause over assumptions
+	conflictSet []Lit // the assumptions the final conflict rests on
 	model       []bool
+
+	// Scratch buffers owned by the solver, so that a conflict allocates
+	// nothing: the learnt clause under construction, the variables whose
+	// seen marks analysis must clear, the walk stack of minimization and
+	// of the assumption-conflict walk, probing's saved phases and the
+	// literals its first phase implied, and reduceDB's candidates.
+	learntBuf []Lit
+	toClear   []int
+	stack     []Lit
+	phaseBuf  []bool
+	probeBuf  []Lit
+	reduceBuf []cref
 }
 
 // New returns an empty solver.
 func New() *Solver {
 	s := &Solver{varInc: 1, clauseInc: 1, ok: true}
+	s.arena = make([]Lit, 1)
 	s.vars = make([]varData, 1)
 	s.vals = make([]Value, 2)
 	s.watches = make([][]watcher, 2)
@@ -226,7 +260,7 @@ func (s *Solver) NewVar() int {
 func (s *Solver) NumVars() int { return len(s.vars) - 1 }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.numClauses }
 
 // NumLearnts returns the number of learnt clauses currently retained in
 // the database. Across incremental Solve calls this is the knowledge
@@ -273,6 +307,23 @@ func (s *Solver) value(l Lit) Value { return s.vals[l] }
 
 func (s *Solver) level(v int) int { return int(s.vars[v].level) }
 
+// lits returns the literals of clause c, in place in the arena.
+func (s *Solver) lits(c cref) []Lit {
+	n := cref(s.arena[c] >> hdrShift)
+	return s.arena[c+1 : c+1+n]
+}
+
+// clauseEnd returns the offset just past clause c.
+func (s *Solver) clauseEnd(c cref) cref {
+	h := s.arena[c]
+	return c + 1 + cref(h>>hdrShift) + cref(h&hdrLearnt)
+}
+
+// meta returns the metadata of the learnt clause c.
+func (s *Solver) meta(c cref) *clauseMeta {
+	return &s.metas[s.arena[s.clauseEnd(c)-1]]
+}
+
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // AddClause adds a clause; it returns false if the clause set became
@@ -284,56 +335,74 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
-	// Normalize: drop duplicate and false literals; detect tautologies and
-	// satisfied clauses. Clauses are short, so scanning the literals kept
-	// so far beats hashing them.
-	out := lits[:0:0]
+	// Normalize in place at the end of the arena: drop duplicate and
+	// false literals; detect tautologies and satisfied clauses. Clauses
+	// are short, so scanning the literals kept so far beats hashing them.
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, 0) // the header, once the size is known
 next:
 	for _, l := range lits {
 		if l.Var() <= 0 || l.Var() >= len(s.vars) {
+			s.arena = s.arena[:c]
 			panic(fmt.Sprintf("sat: literal %v references unallocated variable", l))
 		}
 		switch s.value(l) {
 		case True:
+			s.arena = s.arena[:c]
 			return true // already satisfied
 		case False:
 			continue
 		}
-		for _, o := range out {
+		for _, o := range s.arena[c+1:] {
 			switch o {
 			case l:
 				continue next
 			case l.Not():
+				s.arena = s.arena[:c]
 				return true // tautology
 			}
 		}
-		out = append(out, l)
+		s.arena = append(s.arena, l)
 	}
+	out := s.arena[c+1:]
 	switch len(out) {
 	case 0:
+		s.arena = s.arena[:c]
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.arena = s.arena[:c]
+		s.uncheckedEnqueue(out[0], 0)
+		if s.propagate() != 0 {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
+	s.arena[c] = Lit(len(out) << hdrShift)
+	s.numClauses++
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	w0, w1 := c.lits[0].Not(), c.lits[1].Not()
-	s.watches[w0] = append(s.watches[w0], watcher{c, c.lits[1]})
-	s.watches[w1] = append(s.watches[w1], watcher{c, c.lits[0]})
+// newLearnt stores a learnt clause with its metadata and returns it.
+func (s *Solver) newLearnt(lits []Lit, m clauseMeta) cref {
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(len(lits)<<hdrShift|hdrLearnt))
+	s.arena = append(s.arena, lits...)
+	s.arena = append(s.arena, Lit(len(s.metas)))
+	s.metas = append(s.metas, m)
+	return c
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	w0, w1 := lits[0].Not(), lits[1].Not()
+	s.watches[w0] = append(s.watches[w0], watcher{c, lits[1]})
+	s.watches[w1] = append(s.watches[w1], watcher{c, lits[0]})
+}
+
+func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
 	s.vals[l] = True
 	s.vals[l.Not()] = False
 	vd := &s.vars[l.Var()]
@@ -343,9 +412,9 @@ func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate runs unit propagation; it returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation; it returns the conflicting clause,
+// or 0 when there is none.
+func (s *Solver) propagate() cref {
 	//alive:bounded — the propagation queue is the trail, at most nvars entries per call.
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
@@ -362,28 +431,30 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == True {
-				ws[j] = watcher{c, c.lits[0]}
+			first := lits[0]
+			if s.value(first) == True {
+				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Find a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{c, c.lits[0]})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != False {
+					lits[1], lits[k] = lits[k], lits[1]
+					nw := lits[1].Not()
+					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					continue nextWatcher
 				}
 			}
 			// Unit or conflicting.
-			ws[j] = watcher{c, c.lits[0]}
+			ws[j] = watcher{c, first}
 			j++
-			if s.value(c.lits[0]) == False {
+			if s.value(first) == False {
 				// Conflict: copy back remaining watchers and bail.
 				for i++; i < len(ws); i++ {
 					ws[j] = ws[i]
@@ -393,33 +464,35 @@ func (s *Solver) propagate() *clause {
 				s.qhead = len(s.trail)
 				return c
 			}
-			s.uncheckedEnqueue(c.lits[0], c)
+			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
 	}
-	return nil
+	return 0
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
 // clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// The clause lives in a solver-owned buffer that the next conflict
+// overwrites.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
-	var toClear []int
+	s.toClear = s.toClear[:0]
 
 	//alive:bounded — first-UIP resolution consumes one trail literal per iteration.
 	for {
 		s.bumpClause(confl)
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if q == p {
 				continue
 			}
 			v := q.Var()
 			if !s.vars[v].seen && s.level(v) > 0 {
 				s.vars[v].seen = true
-				toClear = append(toClear, v)
+				s.toClear = append(s.toClear, v)
 				s.bumpVar(v)
 				if s.level(v) >= s.decisionLevel() {
 					counter++
@@ -450,14 +523,15 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
-		if s.vars[v].reason == nil || !s.litRedundant(learnt[i], &toClear) {
+		if s.vars[v].reason == 0 || !s.litRedundant(learnt[i]) {
 			learnt[j] = learnt[i]
 			j++
 		}
 	}
 	learnt = learnt[:j]
+	s.learntBuf = learnt
 
-	for _, v := range toClear {
+	for _, v := range s.toClear {
 		s.vars[v].seen = false
 	}
 
@@ -479,37 +553,38 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // litRedundant reports whether l is implied by the seen literals: its
 // reason chain, followed transitively, reaches only clause literals
 // (seen) and root-level facts. Variables proven redundant along the way
-// are marked seen and appended to *toClear — memoization that makes the
+// are marked seen and appended to s.toClear — memoization that makes the
 // whole minimization linear in the visited reasons; on failure the
 // marks added by this call are rolled back so an unprovable antecedent
 // is not mistaken for a redundant one later.
-func (s *Solver) litRedundant(l Lit, toClear *[]int) bool {
-	top := len(*toClear)
-	stack := []Lit{l}
+func (s *Solver) litRedundant(l Lit) bool {
+	top := len(s.toClear)
+	stack := append(s.stack[:0], l)
 	//alive:bounded — each variable is marked seen at most once, so the reason-chain walk visits each trail variable once.
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		r := s.vars[p.Var()].reason
-		for _, q := range r.lits {
+		for _, q := range s.lits(s.vars[p.Var()].reason) {
 			v := q.Var()
 			if v == p.Var() || s.vars[v].seen || s.level(v) == 0 {
 				continue
 			}
-			if s.vars[v].reason == nil {
+			if s.vars[v].reason == 0 {
 				// A decision outside the clause: l is not redundant. Undo
 				// the speculative marks from this call.
-				for _, u := range (*toClear)[top:] {
+				for _, u := range s.toClear[top:] {
 					s.vars[u].seen = false
 				}
-				*toClear = (*toClear)[:top]
+				s.toClear = s.toClear[:top]
+				s.stack = stack
 				return false
 			}
 			s.vars[v].seen = true
-			*toClear = append(*toClear, v)
+			s.toClear = append(s.toClear, v)
 			stack = append(stack, q)
 		}
 	}
+	s.stack = stack
 	return true
 }
 
@@ -522,7 +597,7 @@ func (s *Solver) backtrackTo(level int) {
 		l := s.trail[i]
 		s.vals[l], s.vals[l.Not()] = Unassigned, Unassigned
 		v := l.Var()
-		s.vars[v].reason = nil
+		s.vars[v].reason = 0
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:bound]
@@ -578,13 +653,13 @@ func tierOf(lbd int32) int8 {
 
 // setLBD records a (new or improved) LBD on a learnt clause, promoting
 // its tier when the LBD crosses a cut.
-func (s *Solver) setLBD(c *clause, lbd int32) {
-	c.lbd = lbd
-	if t := tierOf(lbd); t > c.tier {
+func (s *Solver) setLBD(m *clauseMeta, lbd int32) {
+	m.lbd = lbd
+	if t := tierOf(lbd); t > m.tier {
 		if t == tierCore {
 			s.lbdCore++
 		}
-		c.tier = t
+		m.tier = t
 	}
 }
 
@@ -594,18 +669,19 @@ func (s *Solver) setLBD(c *clause, lbd int32) {
 // propagation — the clause is a reason or the conflict, so all its
 // literals are assigned), and its touch stamp refreshes so tier2 aging
 // sees it as live.
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
+func (s *Solver) bumpClause(c cref) {
+	if s.arena[c]&hdrLearnt == 0 {
 		return
 	}
-	c.touched = s.conflicts
-	if lbd := s.computeLBD(c.lits); lbd < c.lbd {
-		s.setLBD(c, lbd)
+	m := s.meta(c)
+	m.touched = s.conflicts
+	if lbd := s.computeLBD(s.lits(c)); lbd < m.lbd {
+		s.setLBD(m, lbd)
 	}
-	c.activity += s.clauseInc
-	if c.activity > 1e20 {
-		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+	m.activity += s.clauseInc
+	if m.activity > 1e20 {
+		for i := range s.metas {
+			s.metas[i].activity *= 1e-20
 		}
 		s.clauseInc *= 1e-20
 	}
@@ -708,46 +784,102 @@ const (
 // are permanent, tier2 clauses unused for tier2Stale conflicts demote
 // to local, and the worst half of the local tier — highest LBD first,
 // least active as the tie-break — is removed. Binary clauses and
-// current reasons always survive.
+// current reasons always survive. Once more than half the arena is dead,
+// the live clauses move to a fresh one.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
 	s.dbReductions++
-	locked := map[*clause]bool{}
-	for _, l := range s.trail {
-		if r := s.vars[l.Var()].reason; r != nil {
-			locked[r] = true
-		}
-	}
-	var local []*clause
+	local := s.reduceBuf[:0]
 	for _, c := range s.learnts {
-		if c.tier == tierTwo && s.conflicts-c.touched > tier2Stale {
-			c.tier = tierLocal
+		m := s.meta(c)
+		if m.tier == tierTwo && s.conflicts-m.touched > tier2Stale {
+			m.tier = tierLocal
 		}
-		if c.tier == tierLocal && len(c.lits) > 2 && !locked[c] {
+		if m.tier == tierLocal && len(s.lits(c)) > 2 && !s.locked(c) {
 			local = append(local, c)
 		}
 	}
+	s.reduceBuf = local
 	// Deterministic badness order: higher LBD first, then lower
-	// activity; SliceStable keeps insertion order on full ties so
+	// activity; a stable sort keeps insertion order on full ties so
 	// corpus counters stay reproducible run to run.
-	sortClausesByBadness(local)
+	slices.SortStableFunc(local, func(a, b cref) int {
+		ma, mb := s.meta(a), s.meta(b)
+		if ma.lbd != mb.lbd {
+			return cmp.Compare(mb.lbd, ma.lbd)
+		}
+		return cmp.Compare(ma.activity, mb.activity)
+	})
 	for _, c := range local[:len(local)/2] {
-		c.deleted = true
 		s.detach(c)
+		s.arena[c] |= hdrDeleted
+		s.wasted += int(s.clauseEnd(c) - c)
 	}
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if !c.deleted {
+		if s.arena[c]&hdrDeleted == 0 {
 			kept = append(kept, c)
 		}
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, wl := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+// locked reports whether c is the reason for a current assignment.
+// Propagation and learning put the literal a clause implies at lits[0],
+// and nothing moves it while its variable stays assigned, so only that
+// literal's variable can have c as its reason.
+func (s *Solver) locked(c cref) bool {
+	l := s.lits(c)[0]
+	return s.vars[l.Var()].reason == c && s.value(l) == True
+}
+
+// compact copies the live clauses into a fresh arena, in arena order,
+// and forwards every reference to them: watchers, reasons and learnts.
+// No clause, literal, watch list or learnt changes order, so neither
+// does the search.
+func (s *Solver) compact() {
+	arena := make([]Lit, 1, len(s.arena)-s.wasted)
+	metas := make([]clauseMeta, 0, len(s.learnts))
+	c := cref(1)
+	//alive:bounded — walks the arena once, one clause per iteration.
+	for int(c) < len(s.arena) {
+		end := s.clauseEnd(c)
+		if h := s.arena[c]; h&hdrDeleted == 0 {
+			nc := len(arena)
+			arena = append(arena, s.arena[c:end]...)
+			if h&hdrLearnt != 0 {
+				arena[len(arena)-1] = Lit(len(metas))
+				metas = append(metas, *s.meta(c))
+			}
+			s.arena[c] = Lit(nc) // the forwarding address
+		}
+		c = end
+	}
+	old := s.arena
+	s.arena, s.metas, s.wasted = arena, metas, 0
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = cref(old[ws[i].c])
+		}
+	}
+	for _, l := range s.trail {
+		if r := &s.vars[l.Var()].reason; *r != 0 {
+			*r = cref(old[*r])
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = cref(old[c])
+	}
+}
+
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	for _, wl := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[wl]
 		for i, w := range ws {
 			if w.c == c {
@@ -776,6 +908,7 @@ func luby(i int64) int64 {
 // and ValueOf are valid; after Unsat under assumptions, ConflictSubset
 // returns a subset of the assumptions that is jointly unsatisfiable.
 func (s *Solver) Solve(assumptions ...Lit) Status {
+	s.conflictSet = nil
 	if !s.ok {
 		return Unsat
 	}
@@ -784,7 +917,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unknown
 	}
 	s.assumptions = assumptions
-	s.conflictSet = nil
 	defer s.backtrackTo(0)
 
 	restartNum := int64(0)
@@ -841,7 +973,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 			}
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != 0 {
 			s.conflicts++
 			conflictsHere++
 			if s.decisionLevel() == 0 {
@@ -856,10 +988,10 @@ func (s *Solver) search(conflictBudget int64) Status {
 			s.noteLBD(lbd, len(s.trail))
 			s.backtrackTo(btLevel)
 			if len(learnt) == 1 && btLevel == 0 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], 0)
 			} else {
-				c := &clause{lits: learnt, learnt: true, touched: s.conflicts, lbd: lbd + 1}
-				s.setLBD(c, lbd)
+				c := s.newLearnt(learnt, clauseMeta{touched: s.conflicts, lbd: lbd + 1})
+				s.setLBD(s.meta(c), lbd)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -891,7 +1023,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 				return Unsat
 			default:
 				s.trailLim = append(s.trailLim, len(s.trail))
-				s.uncheckedEnqueue(a, nil)
+				s.uncheckedEnqueue(a, 0)
 				continue
 			}
 		}
@@ -905,35 +1037,48 @@ func (s *Solver) search(conflictBudget int64) Status {
 			return Sat
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, 0)
 	}
 }
 
 // buildConflictFromAssumption computes the subset of assumptions
 // responsible for the assumption a being falsified: a plus the
 // assumption decisions reachable through the reason graph of ~a.
+// The walk is depth-first in reason order over the literals that hold,
+// so the set lists assumptions in the order the walk first reaches them.
 func (s *Solver) buildConflictFromAssumption(a Lit) {
 	s.conflictSet = []Lit{a}
-	seen := map[int]bool{}
-	var rec func(l Lit)
-	rec = func(l Lit) {
+	s.toClear = s.toClear[:0]
+	stack := append(s.stack[:0], a.Not())
+	//alive:bounded — each variable is marked seen at most once, so the walk pushes each reason once.
+	for len(stack) > 0 {
+		l := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		v := l.Var()
-		if seen[v] || s.level(v) == 0 {
-			return
+		if s.vars[v].seen || s.level(v) == 0 {
+			continue
 		}
-		seen[v] = true
-		if r := s.vars[v].reason; r != nil {
-			for _, q := range r.lits {
-				if q.Var() != v {
-					rec(q)
-				}
-			}
-		} else {
+		s.vars[v].seen = true
+		s.toClear = append(s.toClear, v)
+		r := s.vars[v].reason
+		if r == 0 {
 			// A decision below the assumption prefix is an assumption.
 			s.conflictSet = append(s.conflictSet, l)
+			continue
+		}
+		// Push in reverse so the first literal is walked first. The
+		// reason's other literals are false; their complements hold.
+		lits := s.lits(r)
+		for i := len(lits) - 1; i >= 0; i-- {
+			if q := lits[i]; q.Var() != v {
+				stack = append(stack, q.Not())
+			}
 		}
 	}
-	rec(a.Not())
+	s.stack = stack
+	for _, v := range s.toClear {
+		s.vars[v].seen = false
+	}
 }
 
 // ConflictSubset returns, after an Unsat result under assumptions, a
@@ -965,13 +1110,13 @@ func (s *Solver) ProbeUnder(ctx []Lit, from int) (failed []Lit, feasible bool) {
 	// snapshot and restore them so probing is invisible to the
 	// branching heuristic. Registered before the backtrack defer so it
 	// runs after the trail is unwound.
-	phases := make([]bool, len(s.vars))
+	s.phaseBuf = s.phaseBuf[:0]
 	for i := range s.vars {
-		phases[i] = s.vars[i].phase
+		s.phaseBuf = append(s.phaseBuf, s.vars[i].phase)
 	}
 	defer func() {
 		for i := range s.vars {
-			s.vars[i].phase = phases[i]
+			s.vars[i].phase = s.phaseBuf[i]
 		}
 	}()
 	defer s.backtrackTo(0)
@@ -983,8 +1128,8 @@ func (s *Solver) ProbeUnder(ctx []Lit, from int) (failed []Lit, feasible bool) {
 			return nil, false
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(a, nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(a, 0)
+		if s.propagate() != 0 {
 			return nil, false
 		}
 	}
@@ -1007,7 +1152,7 @@ func (s *Solver) ProbeUnder(ctx []Lit, from int) (failed []Lit, feasible bool) {
 			// Literals the first (negative) phase probe implied, kept for
 			// lifting: anything the second phase also implies holds under
 			// the context regardless of v.
-			var first []Lit
+			first := s.probeBuf[:0]
 			for pi, l := range [2]Lit{MkLit(v, false), MkLit(v, true)} {
 				// An earlier failed literal's propagation may have assigned
 				// this variable at the context level in the meantime.
@@ -1016,13 +1161,17 @@ func (s *Solver) ProbeUnder(ctx []Lit, from int) (failed []Lit, feasible bool) {
 				}
 				base := len(s.trail)
 				s.trailLim = append(s.trailLim, len(s.trail))
-				s.uncheckedEnqueue(l, nil)
+				s.uncheckedEnqueue(l, 0)
 				confl := s.propagate()
 				var lifted []Lit
-				if confl == nil {
+				if confl == 0 {
 					if pi == 0 {
 						first = append(first, s.trail[base+1:]...)
+						s.probeBuf = first
 					} else {
+						// The second phase is the last use of first, so
+						// the lifted literals overwrite it in place.
+						lifted = first[:0]
 						for _, u := range first {
 							if s.value(u) == True {
 								lifted = append(lifted, u)
@@ -1031,13 +1180,13 @@ func (s *Solver) ProbeUnder(ctx []Lit, from int) (failed []Lit, feasible bool) {
 					}
 				}
 				s.backtrackTo(ctxLevel)
-				if confl != nil {
+				if confl != 0 {
 					failed = append(failed, l)
 					progress = true
 					// Assert the implication at the context level so later
 					// probes (and their propagations) build on it.
-					s.uncheckedEnqueue(l.Not(), nil)
-					if s.propagate() != nil {
+					s.uncheckedEnqueue(l.Not(), 0)
+					if s.propagate() != 0 {
 						return failed, false
 					}
 					continue
@@ -1051,8 +1200,8 @@ func (s *Solver) ProbeUnder(ctx []Lit, from int) (failed []Lit, feasible bool) {
 					}
 					failed = append(failed, u.Not())
 					progress = true
-					s.uncheckedEnqueue(u, nil)
-					if s.propagate() != nil {
+					s.uncheckedEnqueue(u, 0)
+					if s.propagate() != 0 {
 						return failed, false
 					}
 				}
@@ -1078,15 +1227,4 @@ func (s *Solver) Model() []bool {
 	m := make([]bool, len(s.model))
 	copy(m, s.model)
 	return m
-}
-
-// sortClausesByBadness orders candidates for removal: highest LBD
-// first, lowest activity as the tie-break.
-func sortClausesByBadness(cs []*clause) {
-	sort.SliceStable(cs, func(i, j int) bool {
-		if cs[i].lbd != cs[j].lbd {
-			return cs[i].lbd > cs[j].lbd
-		}
-		return cs[i].activity < cs[j].activity
-	})
 }

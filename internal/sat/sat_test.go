@@ -231,7 +231,13 @@ func TestAddClauseNormalization(t *testing.T) {
 		s.NewVar()
 	}
 	pos := func(v int) Lit { return MkLit(v, false) }
-	last := func() []Lit { return s.clauses[len(s.clauses)-1].lits }
+	last := func() []Lit { // the arena's last clause
+		var c cref
+		for o := cref(1); int(o) < len(s.arena); o = s.clauseEnd(o) {
+			c = o
+		}
+		return s.lits(c)
+	}
 	s.AddClause(pos(1))       // 1 true at the root
 	s.AddClause(pos(2).Not()) // 2 false at the root
 
@@ -248,18 +254,18 @@ func TestAddClauseNormalization(t *testing.T) {
 		{"root-true", []Lit{pos(14), pos(1), pos(15)}, nil},
 	}
 	for _, tc := range cases {
-		n := len(s.clauses)
+		n := s.NumClauses()
 		if !s.AddClause(tc.in...) {
 			t.Fatalf("%s: AddClause reported unsat", tc.name)
 		}
 		if tc.want == nil {
-			if len(s.clauses) != n {
+			if s.NumClauses() != n {
 				t.Errorf("%s: stored %v, want nothing", tc.name, last())
 			}
 			continue
 		}
-		if len(s.clauses) != n+1 || fmt.Sprint(last()) != fmt.Sprint(tc.want) {
-			t.Errorf("%s: stored %v, want %v", tc.name, s.clauses[n:], tc.want)
+		if s.NumClauses() != n+1 || fmt.Sprint(last()) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: stored %v, want %v", tc.name, last(), tc.want)
 		}
 	}
 
@@ -276,7 +282,7 @@ func TestAddClauseNormalization(t *testing.T) {
 		t.Fatalf("200-literal clause stored as %v, want %v", last(), want)
 	}
 	w := s.watches[want[0].Not()]
-	if len(w) == 0 || w[len(w)-1].c.lits[0] != want[0] {
+	if len(w) == 0 || s.lits(w[len(w)-1].c)[0] != want[0] {
 		t.Fatal("the first literal of the long clause is not watched")
 	}
 	if !s.AddClause(append(in, want[199].Not())...) || len(last()) != 200 {
@@ -293,6 +299,25 @@ func TestContradictoryAssumptions(t *testing.T) {
 	}
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("still satisfiable without assumptions, got %v", st)
+	}
+}
+
+// TestConflictSubsetAfterRefutation: once added clauses refute the
+// clause set, Solve answers Unsat with an empty ConflictSubset, not the
+// subset of an earlier solve under assumptions.
+func TestConflictSubsetAfterRefutation(t *testing.T) {
+	s := New()
+	x, y := s.NewVar(), s.NewVar()
+	s.AddClause(MkLit(x, true), MkLit(y, false)) // x → y
+	if st := s.Solve(MkLit(x, false), MkLit(y, true)); st != Unsat || len(s.ConflictSubset()) == 0 {
+		t.Fatalf("assuming x and ¬y: %v with subset %v, want unsat with a nonempty subset", st, s.ConflictSubset())
+	}
+	s.AddClause(MkLit(x, false))
+	if s.AddClause(MkLit(y, true)) {
+		t.Fatal("¬y was accepted although x and x → y hold")
+	}
+	if st := s.Solve(); st != Unsat || len(s.ConflictSubset()) != 0 {
+		t.Fatalf("refuted clause set: %v with subset %v, want unsat with an empty subset", st, s.ConflictSubset())
 	}
 }
 
