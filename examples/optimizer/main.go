@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"alive/internal/bv"
 	"alive/internal/ir"
@@ -56,8 +57,19 @@ func main() {
 	fmt.Println(f)
 	fmt.Printf("static cost: %d\n\n", f.Cost())
 	fmt.Println("firings:")
-	for name, n := range pass.Fired {
-		fmt.Printf("  %-40s %d\n", name, n)
+	names := make([]string, 0, len(pass.Fired))
+	for name := range pass.Fired {
+		names = append(names, name)
+	}
+	// Most firings first, then by name, as Figure 9 ranks them.
+	sort.Slice(names, func(i, j int) bool {
+		if ni, nj := pass.Fired[names[i]], pass.Fired[names[j]]; ni != nj {
+			return ni > nj
+		}
+		return names[i] < names[j]
+	})
+	for _, name := range names {
+		fmt.Printf("  %-40s %d\n", name, pass.Fired[name])
 	}
 
 	// Check the optimized function still computes the same values.

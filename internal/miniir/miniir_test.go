@@ -86,11 +86,42 @@ func TestDCE(t *testing.T) {
 	_ = dead
 	live := b.Bin(OpMul, 0, b.Param(0), b.ConstInt(8, 3))
 	f := b.Ret(live)
-	n := f.DCE()
-	if n < 2 { // dead add and its constant
-		t.Fatalf("DCE removed %d, want >= 2", n)
+	if n := f.DCE(); n != 2 { // dead add and its constant
+		t.Fatalf("DCE removed %d, want 2", n)
 	}
 	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A dead chain whose first link's only user is the dead second link,
+	// with a live instruction between them: the whole chain goes, the
+	// rest keeps its order, and the return value survives though nothing
+	// in the body uses it.
+	b2 := NewBuilder("g", 8)
+	x := b2.Param(0)
+	c1 := b2.ConstInt(8, 1)
+	link1 := b2.Bin(OpAdd, 0, x, c1)
+	c3 := b2.ConstInt(8, 3)
+	mid := b2.Bin(OpMul, 0, x, c3)
+	_ = b2.Bin(OpXor, 0, link1, mid) // link 2
+	ret := b2.Bin(OpSub, 0, mid, x)
+	g := b2.Ret(ret)
+	if n := g.DCE(); n != 3 {
+		t.Fatalf("DCE removed %d, want 3 (both links and the constant 1)", n)
+	}
+	want := []*Instr{c3, mid, ret}
+	if len(g.Body) != len(want) {
+		t.Fatalf("DCE kept %d instructions, want %d:\n%s", len(g.Body), len(want), g)
+	}
+	for i, in := range want {
+		if g.Body[i] != in {
+			t.Fatalf("DCE kept the wrong order at %d:\n%s", i, g)
+		}
+	}
+	if g.Ret != ret {
+		t.Fatal("DCE changed the return value")
+	}
+	if err := g.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -295,6 +326,20 @@ func TestPeepholeWrittenTypes(t *testing.T) {
 		}
 	}
 
+	// A written result type sets the width of a conversion the target
+	// builds: the trunc is to i4, not to the root's i8.
+	sext := compile(t, "Name: Shifts:ashr-of-shl-to-sext-trunc\n%s = shl i8 %x, 4\n%r = ashr i8 %s, 4\n=>\n%t = trunc i8 %x to i4\n%r = sext %t to i8")
+	b := NewBuilder("f", 8)
+	f := b.Ret(b.Bin(OpAShr, 0, b.Bin(OpShl, 0, b.Param(0), b.ConstInt(8, 4)), b.ConstInt(8, 4)))
+	if fired := NewPass([]*CompiledTransform{sext}).RunFunction(f); fired != 1 {
+		t.Errorf("ashr of shl i8: fired = %d, want 1", fired)
+	}
+	if err := f.Verify(); err != nil {
+		t.Errorf("ashr of shl i8: %v\n%s", err, f)
+	} else if got, err := Interpret(f, []bv.Vec{bv.New(8, 0x1C)}); err != nil || got.V.Uint64() != 0xFC {
+		t.Errorf("ashr of shl i8 on 0x1c = %v (err %v), want 0xfc\n%s", got.V, err, f)
+	}
+
 	zext := compile(t, "Name: zext-bool\n%r = zext i1 %b to i8\n=>\n%r = select %b, i8 1, 0")
 	for _, tc := range []struct{ from, to, fired int }{
 		{1, 8, 1},
@@ -490,6 +535,17 @@ func TestConstantFold(t *testing.T) {
 	}
 	if m.Op != OpConst || m.Const.Uint64() != 0x1F {
 		t.Fatalf("folded to %v %s", m.Op, m.Const)
+	}
+	// A fold feeds a later fold in the same call: (1+2)+3.
+	b4 := NewBuilder("k", 8)
+	s1 := b4.Bin(OpAdd, 0, b4.ConstInt(8, 1), b4.ConstInt(8, 2))
+	s2 := b4.Bin(OpAdd, 0, s1, b4.ConstInt(8, 3))
+	f4 := b4.Ret(b4.Bin(OpAnd, 0, b4.Param(0), s2))
+	if n := f4.ConstantFold(); n != 2 {
+		t.Fatalf("(1+2)+3 folded %d instructions, want 2", n)
+	}
+	if s2.Op != OpConst || s2.Const.Uint64() != 6 {
+		t.Fatalf("(1+2)+3 folded to %v %s, want const 6", s2.Op, s2.Const)
 	}
 	// UB is never folded.
 	b2 := NewBuilder("g", 8)
