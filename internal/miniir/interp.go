@@ -37,8 +37,12 @@ func Interpret(f *Function, params []bv.Vec) (ExecValue, error) {
 		}
 		env[p] = ExecValue{V: params[i]}
 	}
+	var args [3]ExecValue
 	for _, in := range f.Body {
-		v, err := step(in, env)
+		for i, a := range in.Args {
+			args[i] = env[a]
+		}
+		v, err := step(in, args[:len(in.Args)])
 		if err != nil {
 			return ExecValue{}, err
 		}
@@ -47,39 +51,39 @@ func Interpret(f *Function, params []bv.Vec) (ExecValue, error) {
 	return env[f.Ret], nil
 }
 
-func step(in *Instr, env map[*Instr]ExecValue) (ExecValue, error) {
-	arg := func(i int) ExecValue { return env[in.Args[i]] }
+// step executes one instruction on the values of its operands, in order.
+func step(in *Instr, args []ExecValue) (ExecValue, error) {
 	poison := false
-	for i := range in.Args {
-		poison = poison || arg(i).Poison
+	for _, a := range args {
+		poison = poison || a.Poison
 	}
 	switch in.Op {
 	case OpConst:
 		return ExecValue{V: in.Const}, nil
 	case OpICmp:
-		x, y := arg(0).V, arg(1).V
+		x, y := args[0].V, args[1].V
 		r := bv.Zero(1)
 		if evalCond(in.Cond, x, y) {
 			r = bv.One(1)
 		}
 		return ExecValue{V: r, Poison: poison}, nil
 	case OpSelect:
-		c := arg(0)
+		c := args[0]
 		// A poison condition poisons the result; otherwise pick a branch.
 		if c.V.IsOne() {
-			return ExecValue{V: arg(1).V, Poison: poison}, nil
+			return ExecValue{V: args[1].V, Poison: poison}, nil
 		}
-		return ExecValue{V: arg(2).V, Poison: poison}, nil
+		return ExecValue{V: args[2].V, Poison: poison}, nil
 	case OpZExt:
-		return ExecValue{V: arg(0).V.ZExt(in.Width), Poison: poison}, nil
+		return ExecValue{V: args[0].V.ZExt(in.Width), Poison: poison}, nil
 	case OpSExt:
-		return ExecValue{V: arg(0).V.SExt(in.Width), Poison: poison}, nil
+		return ExecValue{V: args[0].V.SExt(in.Width), Poison: poison}, nil
 	case OpTrunc:
-		return ExecValue{V: arg(0).V.Trunc(in.Width), Poison: poison}, nil
+		return ExecValue{V: args[0].V.Trunc(in.Width), Poison: poison}, nil
 	}
 
 	// Binary operators: definedness per Table 1, poison per Table 2.
-	x, y := arg(0).V, arg(1).V
+	x, y := args[0].V, args[1].V
 	w := in.Width
 	switch in.Op {
 	case OpUDiv, OpURem:

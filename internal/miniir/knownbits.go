@@ -28,22 +28,34 @@ func constBits(v bv.Vec) KnownBits {
 }
 
 // ComputeKnownBits runs a forward known-bits analysis over the function
-// and returns the result for each instruction.
+// and returns the result for each instruction. Body must be in dominance
+// order, which Verify checks.
 func ComputeKnownBits(f *Function) map[*Instr]KnownBits {
 	known := map[*Instr]KnownBits{}
-	get := func(in *Instr) KnownBits {
-		if k, ok := known[in]; ok {
-			return k
-		}
-		return unknownBits(in.Width)
-	}
 	for _, p := range f.Params {
-		known[p] = unknownBits(p.Width)
+		knownBitsOf(p, known)
 	}
 	for _, in := range f.Body {
-		known[in] = transfer(in, get)
+		knownBitsOf(in, known)
 	}
 	return known
+}
+
+// knownBitsOf returns the known bits of v, computing them from those of
+// its operands on demand and memoizing every result in known. Like
+// LLVM's computeKnownBits, it visits only the values v depends on.
+func knownBitsOf(v *Instr, known map[*Instr]KnownBits) KnownBits {
+	if k, ok := known[v]; ok {
+		return k
+	}
+	var k KnownBits
+	if v.Op == OpParam {
+		k = unknownBits(v.Width)
+	} else {
+		k = transfer(v, func(a *Instr) KnownBits { return knownBitsOf(a, known) })
+	}
+	known[v] = k
+	return k
 }
 
 func transfer(in *Instr, get func(*Instr) KnownBits) KnownBits {
