@@ -5,131 +5,14 @@ import (
 	"alive/internal/ir"
 )
 
-// foldValue evaluates a constant expression whose leaves are all integer
-// literals at the given bit width, using the bv constant folder. It
-// returns ok=false for expressions containing abstract constants,
-// registers, width()-style typing functions, or division by zero —
-// anything the linter cannot decide without the solver.
-func foldValue(v ir.Value, width int) (bv.Vec, bool) {
-	switch v := v.(type) {
-	case *ir.Literal:
-		return bv.NewInt(width, v.V), true
-	case *ir.ConstUnExpr:
-		x, ok := foldValue(v.X, width)
-		if !ok {
-			return bv.Vec{}, false
-		}
-		if v.Op == ir.CNeg {
-			return x.Neg(), true
-		}
-		return x.Not(), true
-	case *ir.ConstBinExpr:
-		x, okx := foldValue(v.X, width)
-		y, oky := foldValue(v.Y, width)
-		if !okx || !oky {
-			return bv.Vec{}, false
-		}
-		switch v.Op {
-		case ir.CAdd:
-			return x.Add(y), true
-		case ir.CSub:
-			return x.Sub(y), true
-		case ir.CMul:
-			return x.Mul(y), true
-		case ir.CSDiv:
-			if y.IsZero() {
-				return bv.Vec{}, false
-			}
-			return x.Sdiv(y), true
-		case ir.CUDiv:
-			if y.IsZero() {
-				return bv.Vec{}, false
-			}
-			return x.Udiv(y), true
-		case ir.CSRem:
-			if y.IsZero() {
-				return bv.Vec{}, false
-			}
-			return x.Srem(y), true
-		case ir.CURem:
-			if y.IsZero() {
-				return bv.Vec{}, false
-			}
-			return x.Urem(y), true
-		case ir.CShl:
-			return x.Shl(y), true
-		case ir.CAShr:
-			return x.Ashr(y), true
-		case ir.CLShr:
-			return x.Lshr(y), true
-		case ir.CAnd:
-			return x.And(y), true
-		case ir.COr:
-			return x.Or(y), true
-		case ir.CXor:
-			return x.Xor(y), true
-		}
-		return bv.Vec{}, false
-	case *ir.ConstFunc:
-		return foldConstFunc(v, width)
-	}
-	return bv.Vec{}, false
-}
+// literals is the environment the precondition folder evaluates in at
+// one probe width: it binds no constant and gives every value that
+// width, and it answers no analysis.
+type literals int
 
-func foldConstFunc(v *ir.ConstFunc, width int) (bv.Vec, bool) {
-	args := make([]bv.Vec, len(v.Args))
-	for i, a := range v.Args {
-		x, ok := foldValue(a, width)
-		if !ok {
-			return bv.Vec{}, false
-		}
-		args[i] = x
-	}
-	switch v.FName {
-	case "log2":
-		if len(args) == 1 {
-			return bv.New(width, uint64(args[0].Log2())), true
-		}
-	case "abs":
-		if len(args) == 1 {
-			if args[0].SignBit() == 1 {
-				return args[0].Neg(), true
-			}
-			return args[0], true
-		}
-	case "umax", "max":
-		if len(args) == 2 {
-			if args[0].Ult(args[1]) {
-				return args[1], true
-			}
-			return args[0], true
-		}
-	case "umin", "min":
-		if len(args) == 2 {
-			if args[0].Ult(args[1]) {
-				return args[0], true
-			}
-			return args[1], true
-		}
-	case "smax":
-		if len(args) == 2 {
-			if args[0].Slt(args[1]) {
-				return args[1], true
-			}
-			return args[0], true
-		}
-	case "smin":
-		if len(args) == 2 {
-			if args[0].Slt(args[1]) {
-				return args[0], true
-			}
-			return args[1], true
-		}
-	}
-	// width(), zext/sext/trunc, ctlz/cttz, unknown functions: typing- or
-	// width-dependent beyond the probe width itself; not folded.
-	return bv.Vec{}, false
-}
+func (literals) Const(*ir.AbstractConst) (bv.Vec, bool) { return bv.Vec{}, false }
+func (w literals) Width(ir.Value) (int, bool)           { return int(w), true }
+func (literals) Analysis(*ir.FuncPred) ir.Truth         { return ir.Undecided }
 
 // literalOnly reports whether v is a constant expression over integer
 // literals alone (foldable at any width).
@@ -210,73 +93,3 @@ func literalBits(l *ir.Literal) int {
 // probeWidths is the width sample the precondition folder evaluates at,
 // mirroring the enumerator's default candidate set.
 var probeWidths = []int{1, 4, 8, 16, 32, 64}
-
-// foldCmpAtWidths evaluates op(x, y) at every candidate width at which
-// the literals are representable (or at the fixed width when the class
-// is pinned). It reports (alwaysTrue, alwaysFalse): both false when the
-// verdict is width-dependent or nothing was foldable.
-func foldCmpAtWidths(op ir.PredCmpOp, x, y ir.Value, fixed int, hasFixed bool) (alwaysTrue, alwaysFalse bool) {
-	if !literalOnly(x) || !literalOnly(y) {
-		return false, false
-	}
-	widths := probeWidths
-	if hasFixed {
-		widths = []int{fixed}
-	} else {
-		min := minLiteralBits(x)
-		if m := minLiteralBits(y); m > min {
-			min = m
-		}
-		var keep []int
-		for _, w := range probeWidths {
-			if w >= min {
-				keep = append(keep, w)
-			}
-		}
-		widths = keep
-	}
-	if len(widths) == 0 {
-		return false, false
-	}
-	trues, falses := 0, 0
-	for _, w := range widths {
-		a, oka := foldValue(x, w)
-		b, okb := foldValue(y, w)
-		if !oka || !okb {
-			return false, false
-		}
-		if evalCmp(op, a, b) {
-			trues++
-		} else {
-			falses++
-		}
-	}
-	return falses == 0, trues == 0
-}
-
-// evalCmp evaluates one precondition comparison over concrete vectors.
-func evalCmp(op ir.PredCmpOp, a, b bv.Vec) bool {
-	switch op {
-	case ir.PEq:
-		return a.Eq(b)
-	case ir.PNe:
-		return !a.Eq(b)
-	case ir.PSlt:
-		return a.Slt(b)
-	case ir.PSle:
-		return a.Sle(b)
-	case ir.PSgt:
-		return b.Slt(a)
-	case ir.PSge:
-		return b.Sle(a)
-	case ir.PUlt:
-		return a.Ult(b)
-	case ir.PUle:
-		return a.Ule(b)
-	case ir.PUgt:
-		return b.Ult(a)
-	case ir.PUge:
-		return b.Ule(a)
-	}
-	return false
-}

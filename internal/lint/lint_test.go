@@ -171,3 +171,23 @@ Pre: 3 / 0 == 0
 		}
 	}
 }
+
+// TestMaxMinFoldSigned checks that max and min fold as signed, as the
+// verifier encodes them. Folded as unsigned, both conjuncts read as
+// always false, and alive -lint rejected a transform the verifier proves
+// valid.
+func TestMaxMinFoldSigned(t *testing.T) {
+	for _, tc := range []struct {
+		pre          string
+		al006, al007 int
+	}{
+		{"max(-1, 2) == 2 && min(-1, 2) == -1", 0, 2},
+		{"umax(-1, 2) == 2", 1, 0},
+	} {
+		tr := mustParse(t, "Name: max-min\nPre: "+tc.pre+"\n%r = add %x, 0\n=>\n%r = %x\n")
+		ds := Transform(tr)
+		if c := codesOf(ds); c["AL006"] != tc.al006 || c["AL007"] != tc.al007 {
+			t.Errorf("%s: want %d AL006 and %d AL007, got %v", tc.pre, tc.al006, tc.al007, ds)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"alive/internal/bv"
 	"alive/internal/ir"
 	"alive/internal/typing"
 )
@@ -80,7 +79,7 @@ func checkPre(t *ir.Transform, r *Reporter) {
 			first := bs[0]
 			for _, b := range bs[1:] {
 				w, hasW := fixedOf(b.lit)
-				if _, alwaysDiffer := foldCmpAtWidths(ir.PEq, first.lit, b.lit, w, hasW); alwaysDiffer {
+				if _, alwaysDiffer := foldPredAtWidths(&ir.CmpPred{Op: ir.PEq, X: first.lit, Y: b.lit}, w, hasW); alwaysDiffer {
 					r.report("AL006", Error, pos,
 						"a constant cannot equal two different values at once",
 						"precondition binds %s to incompatible constants (%s vs %s)", key, first.str, b.str)
@@ -90,7 +89,7 @@ func checkPre(t *ir.Transform, r *Reporter) {
 		for _, ne := range nes[key] {
 			for _, eq := range bs {
 				w, hasW := fixedOf(eq.lit)
-				if alwaysEqual, _ := foldCmpAtWidths(ir.PEq, eq.lit, ne.lit, w, hasW); alwaysEqual {
+				if alwaysEqual, _ := foldPredAtWidths(&ir.CmpPred{Op: ir.PEq, X: eq.lit, Y: ne.lit}, w, hasW); alwaysEqual {
 					r.report("AL006", Error, pos,
 						"the equality and the disequality exclude each other",
 						"precondition conjoins %s with %s; it is unsatisfiable", eq.str, ne.str)
@@ -244,98 +243,14 @@ func foldPredAtWidths(p ir.Pred, fixed int, hasFixed bool) (alwaysTrue, alwaysFa
 	}
 	trues, falses := 0, 0
 	for _, w := range widths {
-		v, ok := foldPred(p, w)
-		if !ok {
-			return false, false
-		}
-		if v {
+		switch ir.EvalPred(p, literals(w)) {
+		case ir.True:
 			trues++
-		} else {
+		case ir.False:
 			falses++
+		default:
+			return false, false
 		}
 	}
 	return falses == 0, trues == 0
-}
-
-// foldPred evaluates a predicate over literal leaves at one width.
-func foldPred(p ir.Pred, w int) (bool, bool) {
-	switch q := p.(type) {
-	case nil, ir.TruePred:
-		return true, true
-	case *ir.NotPred:
-		v, ok := foldPred(q.P, w)
-		return !v, ok
-	case *ir.AndPred:
-		all := true
-		for _, r := range q.Ps {
-			v, ok := foldPred(r, w)
-			if !ok {
-				return false, false
-			}
-			all = all && v
-		}
-		return all, true
-	case *ir.OrPred:
-		any := false
-		for _, r := range q.Ps {
-			v, ok := foldPred(r, w)
-			if !ok {
-				return false, false
-			}
-			any = any || v
-		}
-		return any, true
-	case *ir.CmpPred:
-		a, oka := foldValue(q.X, w)
-		b, okb := foldValue(q.Y, w)
-		if !oka || !okb {
-			return false, false
-		}
-		return evalCmp(q.Op, a, b), true
-	case *ir.FuncPred:
-		args := make([]bv.Vec, len(q.Args))
-		for i, x := range q.Args {
-			v, ok := foldValue(x, w)
-			if !ok {
-				return false, false
-			}
-			args[i] = v
-		}
-		return evalFuncPred(q.FName, args)
-	}
-	return false, false
-}
-
-// evalFuncPred folds the built-in predicates whose semantics depend
-// only on their (concrete) arguments. Structural predicates (hasOneUse)
-// and must-analysis facts about abstract values are never folded.
-func evalFuncPred(name string, args []bv.Vec) (bool, bool) {
-	switch name {
-	case "isPowerOf2":
-		if len(args) == 1 {
-			return args[0].IsPowerOfTwo(), true
-		}
-	case "isPowerOf2OrZero":
-		if len(args) == 1 {
-			return args[0].IsZero() || args[0].IsPowerOfTwo(), true
-		}
-	case "isSignBit":
-		if len(args) == 1 {
-			return args[0].PopCount() == 1 && args[0].SignBit() == 1, true
-		}
-	case "isShiftedMask":
-		if len(args) == 1 {
-			a := args[0]
-			if a.IsZero() {
-				return false, true
-			}
-			filled := a.Or(a.Sub(bv.One(a.Width())))
-			return filled.Add(bv.One(a.Width())).And(filled).IsZero(), true
-		}
-	case "MaskedValueIsZero":
-		if len(args) == 2 {
-			return args[0].And(args[1]).IsZero(), true
-		}
-	}
-	return false, false
 }

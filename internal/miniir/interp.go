@@ -132,13 +132,7 @@ func step(in *Instr, args []ExecValue) (ExecValue, error) {
 		return ExecValue{}, fmt.Errorf("miniir: cannot interpret %s", in.Op)
 	}
 
-	if in.Flags&ir.NSW != 0 && signedWraps(in.Op, x, y, r) {
-		poison = true
-	}
-	if in.Flags&ir.NUW != 0 && unsignedWraps(in.Op, x, y, r) {
-		poison = true
-	}
-	if in.Flags&ir.Exact != 0 && inexact(in.Op, x, y) {
+	if ir.Wraps(binOpKinds[in.Op], in.Flags, x, y) {
 		poison = true
 	}
 	return ExecValue{V: r, Poison: poison}, nil
@@ -166,53 +160,6 @@ func evalCond(c ir.CmpCond, x, y bv.Vec) bool {
 		return x.Slt(y)
 	case ir.CondSle:
 		return x.Sle(y)
-	}
-	return false
-}
-
-// signedWraps implements the Table 2 nsw conditions.
-func signedWraps(op Op, x, y, r bv.Vec) bool {
-	w := x.Width()
-	switch op {
-	case OpAdd:
-		return !x.SExt(w + 1).Add(y.SExt(w + 1)).Eq(r.SExt(w + 1))
-	case OpSub:
-		return !x.SExt(w + 1).Sub(y.SExt(w + 1)).Eq(r.SExt(w + 1))
-	case OpMul:
-		return !x.SExt(2 * w).Mul(y.SExt(2 * w)).Eq(r.SExt(2 * w))
-	case OpShl:
-		return !x.Shl(y).Ashr(y).Eq(x)
-	}
-	return false
-}
-
-// unsignedWraps implements the Table 2 nuw conditions.
-func unsignedWraps(op Op, x, y, r bv.Vec) bool {
-	w := x.Width()
-	switch op {
-	case OpAdd:
-		return !x.ZExt(w + 1).Add(y.ZExt(w + 1)).Eq(r.ZExt(w + 1))
-	case OpSub:
-		return !x.ZExt(w + 1).Sub(y.ZExt(w + 1)).Eq(r.ZExt(w + 1))
-	case OpMul:
-		return !x.ZExt(2 * w).Mul(y.ZExt(2 * w)).Eq(r.ZExt(2 * w))
-	case OpShl:
-		return !x.Shl(y).Lshr(y).Eq(x)
-	}
-	return false
-}
-
-// inexact implements the Table 2 exact conditions.
-func inexact(op Op, x, y bv.Vec) bool {
-	switch op {
-	case OpSDiv:
-		return !x.Sdiv(y).Mul(y).Eq(x)
-	case OpUDiv:
-		return !x.Udiv(y).Mul(y).Eq(x)
-	case OpAShr:
-		return !x.Ashr(y).Shl(y).Eq(x)
-	case OpLShr:
-		return !x.Lshr(y).Shl(y).Eq(x)
 	}
 	return false
 }

@@ -91,6 +91,14 @@ func BinOpFor(k ir.BinOpKind) Op {
 	panic("miniir: not a binary operator")
 }
 
+// binOpKinds maps each binary opcode to its Alive operator, inverting
+// BinOpFor.
+var binOpKinds = [...]ir.BinOpKind{
+	OpAdd: ir.Add, OpSub: ir.Sub, OpMul: ir.Mul, OpUDiv: ir.UDiv, OpSDiv: ir.SDiv,
+	OpURem: ir.URem, OpSRem: ir.SRem, OpShl: ir.Shl, OpLShr: ir.LShr, OpAShr: ir.AShr,
+	OpAnd: ir.And, OpOr: ir.Or, OpXor: ir.Xor,
+}
+
 // IsBinOp reports whether o is a binary arithmetic/logical opcode.
 func (o Op) IsBinOp() bool { return o >= OpAdd && o <= OpXor }
 
@@ -328,15 +336,8 @@ func (f *Function) InsertBefore(pos *Instr, newcomers []*Instr) {
 	f.Body = slices.Insert(f.Body, idx, newcomers...)
 }
 
-// UseCounts returns the number of uses of each instruction (the return
-// value counts as a use).
-func (f *Function) UseCounts() map[*Instr]int {
-	uses := map[*Instr]int{}
-	f.countUses(uses)
-	return uses
-}
-
-// countUses adds the use counts of f to uses.
+// countUses adds the number of uses of each instruction of f to uses
+// (the return value counts as a use).
 func (f *Function) countUses(uses map[*Instr]int) {
 	for _, in := range f.Body {
 		for _, a := range in.Args {

@@ -6,8 +6,7 @@ import (
 
 // KnownBits is the classic LLVM computeKnownBits abstraction: for every
 // bit position, whether it is known to be zero or known to be one. The
-// peephole driver uses it to evaluate must-analysis predicates
-// (MaskedValueIsZero, isPowerOf2, WillNotOverflow*) on non-constant
+// peephole driver uses it to evaluate MaskedValueIsZero on non-constant
 // values, mirroring the LLVM analyses that Alive's built-in predicates
 // trust (Section 2.3).
 type KnownBits struct {
@@ -25,20 +24,6 @@ func unknownBits(w int) KnownBits {
 
 func constBits(v bv.Vec) KnownBits {
 	return KnownBits{Zero: v.Not(), One: v}
-}
-
-// ComputeKnownBits runs a forward known-bits analysis over the function
-// and returns the result for each instruction. Body must be in dominance
-// order, which Verify checks.
-func ComputeKnownBits(f *Function) map[*Instr]KnownBits {
-	known := map[*Instr]KnownBits{}
-	for _, p := range f.Params {
-		knownBitsOf(p, known)
-	}
-	for _, in := range f.Body {
-		knownBitsOf(in, known)
-	}
-	return known
 }
 
 // knownBitsOf returns the known bits of v, computing them from those of

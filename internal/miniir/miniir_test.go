@@ -140,13 +140,13 @@ func TestKnownBits(t *testing.T) {
 	b := NewBuilder("f", 8)
 	masked := b.Bin(OpAnd, 0, b.Param(0), b.ConstInt(8, 0x0F))
 	shifted := b.Bin(OpShl, 0, b.Param(0), b.ConstInt(8, 4))
-	f := b.Ret(b.Bin(OpOr, 0, masked, shifted))
-	kb := ComputeKnownBits(f)
-	if kb[masked].Zero.Uint64()&0xF0 != 0xF0 {
-		t.Errorf("and with 0x0F should know the high nibble is zero, got zero=%s", kb[masked].Zero)
+	b.Ret(b.Bin(OpOr, 0, masked, shifted))
+	known := map[*Instr]KnownBits{}
+	if k := knownBitsOf(masked, known); k.Zero.Uint64()&0xF0 != 0xF0 {
+		t.Errorf("and with 0x0F should know the high nibble is zero, got zero=%s", k.Zero)
 	}
-	if kb[shifted].Zero.Uint64()&0x0F != 0x0F {
-		t.Errorf("shl by 4 should know the low nibble is zero, got zero=%s", kb[shifted].Zero)
+	if k := knownBitsOf(shifted, known); k.Zero.Uint64()&0x0F != 0x0F {
+		t.Errorf("shl by 4 should know the low nibble is zero, got zero=%s", k.Zero)
 	}
 }
 
@@ -382,6 +382,55 @@ Pre: MaskedValueIsZero(%v, ~C1)
 	}
 }
 
+// TestPeepholeUndecidedPrecondition: a rewrite fires only under a
+// precondition decided true. No bound value gives zext(C) a width, so
+// !(zext(C) != -1) is undecided; read two-valued, the comparison was
+// false, its negation true, and and %x, 5 became %x. The verifier
+// proves the transform only vacuously: zext(C) is never all ones.
+func TestPeepholeUndecidedPrecondition(t *testing.T) {
+	ct := compile(t, "Name: zext-never-ones\nPre: !(zext(C) != -1)\n%r = and %x, C\n=>\n%r = %x")
+	b := NewBuilder("f", 8)
+	f := b.Ret(b.Bin(OpAnd, 0, b.Param(0), b.ConstInt(8, 5)))
+	if fired := NewPass([]*CompiledTransform{ct}).RunFunction(f); fired != 0 {
+		t.Fatalf("fired = %d under an undecided precondition, want 0\n%s", fired, f)
+	}
+}
+
+// TestPeepholeConversionConstant: sext(C1) in the target evaluates C1
+// at the width it matched, so the rewrite fires, and refines the source.
+func TestPeepholeConversionConstant(t *testing.T) {
+	ct := compile(t, "Name: sext-of-add-nsw\n%a = add nsw %x, C1\n%r = sext %a\n=>\n%s = sext %x\n%r = add nsw %s, sext(C1)")
+	b := NewBuilder("f", 8)
+	f := b.Ret(b.Conv(OpSExt, b.Bin(OpAdd, ir.NSW, b.Param(0), b.ConstInt(8, -100)), 16))
+	rng := rand.New(rand.NewSource(1))
+	var inputs [][]bv.Vec
+	var want []ExecValue
+	for range 50 {
+		in := RandomInputs(f, rng)
+		v, err := Interpret(f, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs, want = append(inputs, in), append(want, v)
+	}
+	if fired := NewPass([]*CompiledTransform{ct}).RunFunction(f); fired != 1 {
+		t.Fatalf("fired = %d, want 1\n%s", fired, f)
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatalf("%v\n%s", err, f)
+	}
+	for i, in := range inputs {
+		got, err := Interpret(f, in)
+		switch {
+		case err != nil:
+			t.Fatalf("on %v: %v\n%s", in, err, f)
+		case want[i].Poison:
+		case got.Poison || !got.V.Eq(want[i].V):
+			t.Fatalf("on %v: got %v, want %v\n%s", in, got, want[i], f)
+		}
+	}
+}
+
 func TestCompileRejectsUndefAndMemory(t *testing.T) {
 	tr, err := parser.ParseOne("%r = or %x, undef\n=>\n%r = or undef, %x")
 	if err != nil {
@@ -584,12 +633,14 @@ func TestUseCountsAndReplace(t *testing.T) {
 	a := b.Bin(OpAdd, 0, x, x)
 	mul := b.Bin(OpMul, 0, a, a)
 	f := b.Ret(mul)
-	uses := f.UseCounts()
+	uses := map[*Instr]int{}
+	f.countUses(uses)
 	if uses[x] != 2 || uses[a] != 2 || uses[mul] != 1 {
 		t.Fatalf("uses: x=%d a=%d mul=%d", uses[x], uses[a], uses[mul])
 	}
 	f.ReplaceAllUses(a, x)
-	uses = f.UseCounts()
+	clear(uses)
+	f.countUses(uses)
 	if uses[a] != 0 || uses[x] != 4 {
 		t.Fatal("replacement did not rewrite uses")
 	}

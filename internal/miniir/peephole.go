@@ -107,7 +107,8 @@ func (t *table) set(tv ir.Value, cv *Instr) {
 
 // bindings is the state of one match attempt and, when it succeeds, of
 // its rewrite. A Pass owns one and resets it for every attempt, as the
-// generated C++ binds m_Value(X) into locals.
+// generated C++ binds m_Value(X) into locals. It is the ir.Env that
+// preconditions and constant expressions are evaluated in.
 type bindings struct {
 	vals    table
 	created []*Instr // the instructions apply builds
@@ -125,7 +126,7 @@ type bindings struct {
 // into b.
 func (ct *CompiledTransform) match(b *bindings, in *Instr) bool {
 	b.vals = b.vals[:0]
-	return b.matchValue(ct.root, in) && b.evalPred(ct.t.Pre)
+	return b.matchValue(ct.root, in) && ir.EvalPred(ct.t.Pre, b) == ir.True
 }
 
 // startScan binds f and forgets the analyses of the previous scan.
@@ -242,7 +243,7 @@ func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
 		if !ok {
 			return false
 		}
-		want, ok := b.evalConst(tv, c.Width())
+		want, ok := ir.EvalConst(tv, c.Width(), b)
 		return ok && want.Eq(c)
 	}
 	return false
@@ -258,325 +259,55 @@ func eqInt(c bv.Vec, v int64) bool {
 	return c.Eq(bv.NewInt(c.Width(), v))
 }
 
-// evalConst evaluates a constant expression under the current constant
-// bindings at the given width.
-func (b *bindings) evalConst(v ir.Value, width int) (bv.Vec, bool) {
-	switch v := v.(type) {
-	case *ir.Literal:
-		return bv.NewInt(width, v.V), true
-	case *ir.AbstractConst:
-		cv, ok := b.vals.get(v)
-		if !ok || cv.Width != width {
-			return bv.Vec{}, false
-		}
-		return cv.Const, true
-	case *ir.ConstUnExpr:
-		x, ok := b.evalConst(v.X, width)
-		if !ok {
-			return bv.Vec{}, false
-		}
-		if v.Op == ir.CNeg {
-			return x.Neg(), true
-		}
-		return x.Not(), true
-	case *ir.ConstBinExpr:
-		x, okx := b.evalConst(v.X, width)
-		y, oky := b.evalConst(v.Y, width)
-		if !okx || !oky {
-			return bv.Vec{}, false
-		}
-		return evalConstBin(v.Op, x, y), true
-	case *ir.ConstFunc:
-		return b.evalConstFunc(v, width)
-	}
-	return bv.Vec{}, false
-}
-
-func evalConstBin(op ir.ConstBinOp, x, y bv.Vec) bv.Vec {
-	switch op {
-	case ir.CAdd:
-		return x.Add(y)
-	case ir.CSub:
-		return x.Sub(y)
-	case ir.CMul:
-		return x.Mul(y)
-	case ir.CSDiv:
-		return x.Sdiv(y)
-	case ir.CUDiv:
-		return x.Udiv(y)
-	case ir.CSRem:
-		return x.Srem(y)
-	case ir.CURem:
-		return x.Urem(y)
-	case ir.CShl:
-		return x.Shl(y)
-	case ir.CAShr:
-		return x.Ashr(y)
-	case ir.CLShr:
-		return x.Lshr(y)
-	case ir.CAnd:
-		return x.And(y)
-	case ir.COr:
-		return x.Or(y)
-	case ir.CXor:
-		return x.Xor(y)
-	}
-	panic("miniir: unknown constant operator")
-}
-
-func (b *bindings) evalConstFunc(v *ir.ConstFunc, width int) (bv.Vec, bool) {
-	arg := func(i int) (bv.Vec, bool) { return b.evalConst(v.Args[i], width) }
-	switch v.FName {
-	case "width":
-		if in, ok := v.Args[0].(*ir.Input); ok {
-			if cv, bound := b.vals.get(in); bound {
-				return bv.New(width, uint64(cv.Width)), true
-			}
-			return bv.Vec{}, false
-		}
-		if x, ok := arg(0); ok {
-			return bv.New(width, uint64(x.Width())), true
-		}
+// Const reads the value of the constant an abstract constant matched.
+func (b *bindings) Const(c *ir.AbstractConst) (bv.Vec, bool) {
+	cv, ok := b.vals.get(c)
+	if !ok {
 		return bv.Vec{}, false
-	case "log2":
-		x, ok := arg(0)
-		if !ok {
-			return bv.Vec{}, false
-		}
-		return bv.New(width, uint64(x.Log2())), true
-	case "abs":
-		x, ok := arg(0)
-		if !ok {
-			return bv.Vec{}, false
-		}
-		if x.SignBit() == 1 {
-			return x.Neg(), true
-		}
-		return x, true
-	case "umax", "umin", "smax", "smin", "max", "min":
-		x, okx := arg(0)
-		y, oky := arg(1)
-		if !okx || !oky {
-			return bv.Vec{}, false
-		}
-		switch v.FName {
-		case "umax":
-			if x.Ult(y) {
-				return y, true
-			}
-			return x, true
-		case "umin":
-			if x.Ult(y) {
-				return x, true
-			}
-			return y, true
-		case "smax", "max":
-			if x.Slt(y) {
-				return y, true
-			}
-			return x, true
-		default:
-			if x.Slt(y) {
-				return x, true
-			}
-			return y, true
-		}
-	case "cttz", "countTrailingZeros":
-		x, ok := arg(0)
-		if !ok {
-			return bv.Vec{}, false
-		}
-		return bv.New(width, uint64(x.TrailingZeros())), true
-	case "ctlz", "countLeadingZeros":
-		x, ok := arg(0)
-		if !ok {
-			return bv.Vec{}, false
-		}
-		return bv.New(width, uint64(x.LeadingZeros())), true
 	}
-	return bv.Vec{}, false
+	return cv.Const, true
 }
 
-// evalPred evaluates a precondition concretely. Must-analyses on
-// non-constant arguments consult the known-bits analysis and answer false
-// when unprovable — exactly the conservatism of the LLVM analyses the
-// predicates trust.
-func (b *bindings) evalPred(p ir.Pred) bool {
-	switch q := p.(type) {
-	case nil, ir.TruePred:
-		return true
-	case *ir.NotPred:
-		return !b.evalPred(q.P)
-	case *ir.AndPred:
-		for _, r := range q.Ps {
-			if !b.evalPred(r) {
-				return false
-			}
-		}
-		return true
-	case *ir.OrPred:
-		for _, r := range q.Ps {
-			if b.evalPred(r) {
-				return true
-			}
-		}
-		return false
-	case *ir.CmpPred:
-		w, ok := b.cmpWidth(q.X, q.Y)
-		if !ok {
-			return false
-		}
-		x, okx := b.evalConst(q.X, w)
-		y, oky := b.evalConst(q.Y, w)
-		if !okx || !oky {
-			return false
-		}
-		switch q.Op {
-		case ir.PEq:
-			return x.Eq(y)
-		case ir.PNe:
-			return !x.Eq(y)
-		case ir.PSlt:
-			return x.Slt(y)
-		case ir.PSle:
-			return x.Sle(y)
-		case ir.PSgt:
-			return y.Slt(x)
-		case ir.PSge:
-			return y.Sle(x)
-		case ir.PUlt:
-			return x.Ult(y)
-		case ir.PUle:
-			return x.Ule(y)
-		case ir.PUgt:
-			return y.Ult(x)
-		case ir.PUge:
-			return y.Ule(x)
-		}
-		return false
-	case *ir.FuncPred:
-		return b.evalFuncPred(q)
+// Width reads the width of the instruction bound to v.
+func (b *bindings) Width(v ir.Value) (int, bool) {
+	cv, ok := b.vals.get(v)
+	if !ok {
+		return 0, false
 	}
-	return false
+	return cv.Width, true
 }
 
-// cmpWidth finds the width of a comparison: the width of any bound
-// constant or value mentioned on either side.
-func (b *bindings) cmpWidth(xs ...ir.Value) (int, bool) {
-	for _, x := range xs {
-		w := 0
-		ir.WalkValues(x, func(v ir.Value) {
-			if w != 0 {
-				return
-			}
-			switch v.(type) {
-			case *ir.AbstractConst, *ir.Input:
-				if cv, ok := b.vals.get(v); ok {
-					w = cv.Width
-				}
-			}
-		})
-		if w != 0 {
-			return w, true
-		}
+// Analysis answers a built-in predicate on a value that is not a
+// constant, as LLVM's analyses would: isPowerOf2 by KnownPowerOfTwo,
+// MaskedValueIsZero by known bits, hasOneUse by use counts. A
+// must-analysis that proves nothing answers False, never Undecided:
+// vcgen encodes it as a fresh p with p ⇒ s, so the proof covers p =
+// false.
+func (b *bindings) Analysis(p *ir.FuncPred) ir.Truth {
+	var cv *Instr
+	if len(p.Args) > 0 {
+		cv, _ = b.vals.get(p.Args[0])
 	}
-	return 0, false
-}
-
-func (b *bindings) evalFuncPred(q *ir.FuncPred) bool {
-	// Constant arguments: evaluate precisely.
-	argConst := func(i int) (bv.Vec, bool) {
-		w, ok := b.cmpWidth(q.Args[i])
-		if !ok {
-			return bv.Vec{}, false
-		}
-		return b.evalConst(q.Args[i], w)
-	}
-	argInstr := func(i int) (*Instr, bool) {
-		in, ok := q.Args[i].(*ir.Input)
-		if !ok {
-			if iv, isInstr := q.Args[i].(ir.Instr); isInstr {
-				return b.vals.get(iv.(ir.Value))
-			}
-			return nil, false
-		}
-		return b.vals.get(in)
-	}
-
-	switch q.FName {
+	switch p.FName {
 	case "isPowerOf2":
-		if c, ok := argConst(0); ok {
-			return c.IsPowerOfTwo()
-		}
-		if cv, ok := argInstr(0); ok {
-			return KnownPowerOfTwo(cv)
-		}
-		return false
-	case "isPowerOf2OrZero":
-		if c, ok := argConst(0); ok {
-			return c.IsZero() || c.IsPowerOfTwo()
-		}
-		return false
-	case "isSignBit":
-		c, ok := argConst(0)
-		return ok && c.Eq(bv.MinSigned(c.Width()))
-	case "isShiftedMask":
-		c, ok := argConst(0)
-		if !ok || c.IsZero() {
-			return false
-		}
-		filled := c.Or(c.Sub(bv.One(c.Width())))
-		return filled.Add(bv.One(c.Width())).And(filled).IsZero()
+		return ir.TruthOf(cv != nil && KnownPowerOfTwo(cv))
 	case "MaskedValueIsZero":
-		cv, ok := argInstr(0)
-		if !ok {
-			return false
+		if cv == nil {
+			return ir.False
 		}
-		mask, ok := b.evalConst(q.Args[1], cv.Width)
-		if !ok {
-			return false
-		}
+		mask, ok := ir.EvalConst(p.Args[1], cv.Width, b)
 		// Every masked bit must be known zero.
-		return mask.And(knownBitsOf(cv, b.known).Zero.Not()).IsZero()
-	case "WillNotOverflowSignedAdd", "WillNotOverflowUnsignedAdd",
+		return ir.TruthOf(ok && mask.And(knownBitsOf(cv, b.known).Zero.Not()).IsZero())
+	case "hasOneUse", "OneUse":
+		return ir.TruthOf(cv != nil && b.useCount(cv) == 1)
+	case "isPowerOf2OrZero", "isSignBit", "isShiftedMask",
+		"WillNotOverflowSignedAdd", "WillNotOverflowUnsignedAdd",
 		"WillNotOverflowSignedSub", "WillNotOverflowUnsignedSub",
 		"WillNotOverflowSignedMul", "WillNotOverflowUnsignedMul",
 		"WillNotOverflowSignedShl", "WillNotOverflowUnsignedShl":
-		x, okx := argConst(0)
-		y, oky := argConst(1)
-		if okx && oky {
-			return willNotOverflow(q.FName, x, y)
-		}
-		// On values, the conservative analysis answers "unknown".
-		return false
-	case "hasOneUse", "OneUse":
-		cv, ok := argInstr(0)
-		return ok && b.useCount(cv) == 1
+		return ir.False
 	}
-	return false
-}
-
-func willNotOverflow(name string, x, y bv.Vec) bool {
-	w := x.Width()
-	switch name {
-	case "WillNotOverflowSignedAdd":
-		return x.SExt(w + 1).Add(y.SExt(w + 1)).Eq(x.Add(y).SExt(w + 1))
-	case "WillNotOverflowUnsignedAdd":
-		return x.ZExt(w + 1).Add(y.ZExt(w + 1)).Eq(x.Add(y).ZExt(w + 1))
-	case "WillNotOverflowSignedSub":
-		return x.SExt(w + 1).Sub(y.SExt(w + 1)).Eq(x.Sub(y).SExt(w + 1))
-	case "WillNotOverflowUnsignedSub":
-		return x.ZExt(w + 1).Sub(y.ZExt(w + 1)).Eq(x.Sub(y).ZExt(w + 1))
-	case "WillNotOverflowSignedMul":
-		return x.SExt(2 * w).Mul(y.SExt(2 * w)).Eq(x.Mul(y).SExt(2 * w))
-	case "WillNotOverflowUnsignedMul":
-		return x.ZExt(2 * w).Mul(y.ZExt(2 * w)).Eq(x.Mul(y).ZExt(2 * w))
-	case "WillNotOverflowSignedShl":
-		return x.Shl(y).Ashr(y).Eq(x)
-	case "WillNotOverflowUnsignedShl":
-		return x.Shl(y).Lshr(y).Eq(x)
-	}
-	return false
+	return ir.Undecided
 }
 
 // apply rewrites the DAG rooted at rootIn according to the target
@@ -630,7 +361,7 @@ func (b *bindings) build(v ir.Value, width int) (*Instr, bool) {
 	case *ir.Literal:
 		in = &Instr{Op: OpConst, Width: width, Const: bv.NewInt(width, v.V)}
 	case *ir.AbstractConst, *ir.ConstUnExpr, *ir.ConstBinExpr, *ir.ConstFunc:
-		c, ok := b.evalConst(v, width)
+		c, ok := ir.EvalConst(v, width, b)
 		if !ok {
 			return nil, false
 		}

@@ -81,3 +81,20 @@ Pre: C u>= C
 		t.Fatalf("want warning-only diagnostics, got %v", r.Lint)
 	}
 }
+
+// TestLintAcceptsSignedMaxMin checks that lint does not reject what the
+// verifier proves: max and min are signed in both.
+func TestLintAcceptsSignedMaxMin(t *testing.T) {
+	opts := quickOpts
+	opts.Lint = true
+	r := run(t, `
+Name: max-min
+Pre: max(-1, 2) == 2 && min(-1, 2) == -1
+%r = add %x, 0
+=>
+%r = %x
+`, opts)
+	if r.Verdict != Valid {
+		t.Fatalf("want valid, got %v (err=%v, lint %v)", r.Verdict, r.Err, r.Lint)
+	}
+}
