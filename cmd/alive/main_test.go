@@ -38,12 +38,12 @@ func TestMain(m *testing.M) {
 // enough to interrupt or kill part-way through deterministically.
 func corpusFile(t *testing.T) string {
 	t.Helper()
-	path, err := filepath.Abs("../../testdata/AndOrXor.opt")
+	path, err := filepath.Abs("../../internal/suite/AndOrXor.opt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); err != nil {
-		t.Skipf("corpus not present: %v", err)
+		t.Fatal(err)
 	}
 	return path
 }

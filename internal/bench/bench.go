@@ -18,6 +18,7 @@ import (
 	"alive/internal/attrs"
 	"alive/internal/ir"
 	"alive/internal/miniir"
+	"alive/internal/parser"
 	"alive/internal/suite"
 	"alive/internal/verify"
 )
@@ -194,7 +195,7 @@ func Patches(cfg *Config) string {
 	var sb strings.Builder
 	sb.WriteString("Section 6.2: patch monitoring (three submitted revisions)\n\n")
 	for _, rev := range suite.PatchSequence() {
-		t, err := suite.Entry{Text: rev.Text}.ParseOrError()
+		t, err := parser.ParseOne(rev.Text)
 		if err != nil {
 			fmt.Fprintf(&sb, "revision %d: parse error %v\n", rev.Revision, err)
 			continue

@@ -114,7 +114,12 @@ func (g *generator) run() (string, error) {
 		byType[ty] = append(byType[ty], n)
 	}
 	for _, ty := range typeOrder {
-		fmt.Fprintf(&sb, "  %s %s;\n", ty, strings.Join(byType[ty], ", "))
+		// A * binds to one declarator, so each pointer name carries its own.
+		if class, ptr := strings.CutSuffix(ty, " *"); ptr {
+			fmt.Fprintf(&sb, "  %s *%s;\n", class, strings.Join(byType[ty], ", *"))
+		} else {
+			fmt.Fprintf(&sb, "  %s %s;\n", ty, strings.Join(byType[ty], ", "))
+		}
 	}
 	sb.WriteString("  if (")
 	sb.WriteString(strings.Join(g.clauses, " &&\n      "))

@@ -39,8 +39,8 @@ Pre: isSignBit(C1)
 %d = add %a, C1 ^ C2
 `)
 	mustContain(t, out,
-		"Value *",
-		"ConstantInt *",
+		"\n  Value *b, *a;\n",
+		"\n  ConstantInt *C2, *C1;\n",
 		"match(I, m_Add(m_Value(b), m_ConstantInt(C2)))",
 		"match(b, m_Xor(m_Value(a), m_ConstantInt(C1)))",
 		"C1->getValue().isSignBit()",

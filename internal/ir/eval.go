@@ -35,7 +35,7 @@ type Env interface {
 	Const(c *AbstractConst) (bv.Vec, bool)
 	// Width returns the bound width, always positive, of a value that
 	// fixes the width of its class: an input, abstract constant, literal
-	// or instruction.
+	// or instruction, or a constant expression none of whose leaves does.
 	Width(v Value) (int, bool)
 	// Analysis answers a built-in predicate the evaluator does not decide
 	// itself: a structural or unknown one, or a value predicate, with its
@@ -194,28 +194,32 @@ func constFunc(v *ConstFunc, w int, env Env) (bv.Vec, bool) {
 
 // widthOf returns the bound width of v's class: the first width env
 // binds to a leaf reached through operators that keep their operands'
-// width. width, zext, sext and trunc do not: their results' widths are
-// independent of their arguments'.
+// width, or else the width env binds to v itself. width, zext, sext and
+// trunc do not keep it: their results' widths are independent of their
+// arguments'.
 func widthOf(v Value, env Env) (int, bool) {
 	switch v := v.(type) {
 	case *ConstUnExpr:
-		return widthOf(v.X, env)
+		if w, ok := widthOf(v.X, env); ok {
+			return w, true
+		}
 	case *ConstBinExpr:
 		if w, ok := widthOf(v.X, env); ok {
 			return w, true
 		}
-		return widthOf(v.Y, env)
+		if w, ok := widthOf(v.Y, env); ok {
+			return w, true
+		}
 	case *ConstFunc:
 		switch v.FName {
 		case "width", "zext", "sext", "trunc":
-			return 0, false
-		}
-		for _, a := range v.Args {
-			if w, ok := widthOf(a, env); ok {
-				return w, true
+		default:
+			for _, a := range v.Args {
+				if w, ok := widthOf(a, env); ok {
+					return w, true
+				}
 			}
 		}
-		return 0, false
 	}
 	return env.Width(v)
 }

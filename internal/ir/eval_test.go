@@ -37,8 +37,10 @@ var evalPreds = []string{
 	"cttz(C1) == C2", "countTrailingZeros(C1) == C2",
 	"zext(C1) == C2", "sext(C1) == C2", "trunc(C1) == C2",
 	"sext(C1 + C2) u< C3", "trunc(C1) + zext(C2) == C3", "zext(trunc(C1)) == C2",
+	"zext(C1) == trunc(C2)",
 
 	"isPowerOf2(C1)", "isPowerOf2(C1 + C2)", "isPowerOf2(width(%x) - C1)",
+	"isPowerOf2(width(%x))",
 	"isPowerOf2OrZero(C1)", "isSignBit(C1)", "isShiftedMask(C1)",
 	"MaskedValueIsZero(C1, C2)", "MaskedValueIsZero(C1, ~C2)", "mayAlias(C1, C2)",
 	"WillNotOverflowSignedAdd(C1, C2)", "WillNotOverflowUnsignedAdd(C1, C2)",
@@ -53,8 +55,8 @@ var evalPreds = []string{
 }
 
 // neverDecided are the preconditions the evaluator must leave undecided:
-// a constant division by zero, and a trunc no bound value gives a width.
-var neverDecided = []string{"3 / 0 == C1", "zext(trunc(C1)) == C2", "!(zext(trunc(C1)) == C2)"}
+// a constant division by zero.
+var neverDecided = []string{"3 / 0 == C1"}
 
 // parsedPreds parses each of evalPreds into a transform whose template
 // leaves every constant's width free.

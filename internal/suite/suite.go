@@ -1,9 +1,11 @@
 // Package suite holds the corpus of LLVM InstCombine transformations
-// hand-translated into Alive syntax, organized by the same source files
-// as Table 3 of the paper (AddSub, AndOrXor, LoadStoreAlloca, MulDivRem,
-// Select, Shifts). It includes the eight wrong transformations of
-// Figure 8 (marked WantInvalid), their fixed variants, and the
-// three-revision patch sequence of Section 6.2.
+// hand-translated into Alive syntax. The corpus is the six .opt files
+// embedded in this package, one per source file of Table 3 of the paper
+// (AddSub, AndOrXor, LoadStoreAlloca, MulDivRem, Select, Shifts). It
+// includes the eight wrong transformations of Figure 8, each marked by a
+// "; INVALID (Figure 8)" line before its Name: line. The package also
+// holds their fixed variants and the three-revision patch sequence of
+// Section 6.2, which are not part of the corpus.
 //
 // Every entry is a real InstCombine pattern; the corpus is smaller than
 // the paper's 334 translations but preserves the per-file structure and
@@ -11,12 +13,21 @@
 package suite
 
 import (
+	"embed"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"alive/internal/ir"
 	"alive/internal/parser"
 )
+
+//go:embed *.opt
+var optFiles embed.FS
+
+// invalidMark is the comment line that precedes a Figure 8 bug.
+const invalidMark = "; INVALID (Figure 8)"
 
 // Entry is one corpus transformation.
 type Entry struct {
@@ -24,6 +35,8 @@ type Entry struct {
 	// File is the InstCombine source file the pattern comes from
 	// (Table 3 grouping).
 	File string
+	// Text is the transformation in Alive syntax. A corpus entry's Text
+	// is printed without its Name: line; Parse restores the name.
 	Text string
 	// WantInvalid marks the Figure 8 bugs.
 	WantInvalid bool
@@ -45,22 +58,39 @@ var PaperTable3 = map[string][3]int{
 	"Shifts":          {43, 41, 0},
 }
 
-// All returns the full corpus (correct entries plus the Figure 8 bugs).
-func All() []Entry {
+// corpus parses the embedded files once, in Files order.
+var corpus = sync.OnceValue(func() []Entry {
 	var out []Entry
-	out = append(out, addSub...)
-	out = append(out, andOrXor...)
-	out = append(out, loadStoreAlloca...)
-	out = append(out, mulDivRem...)
-	out = append(out, selectOps...)
-	out = append(out, shifts...)
+	for _, file := range Files {
+		src, err := optFiles.ReadFile(file + ".opt")
+		if err != nil {
+			panic(fmt.Sprintf("suite: %v", err))
+		}
+		ts, err := parser.Parse(string(src))
+		if err != nil {
+			panic(fmt.Sprintf("suite: %s.opt: %v", file, err))
+		}
+		lines := strings.Split(string(src), "\n")
+		for _, t := range ts {
+			// A marker is the line above the transform's Name: line.
+			prev := t.DeclPos.Line - 2
+			e := Entry{Name: t.Name, File: file}
+			e.WantInvalid = prev >= 0 && strings.TrimSpace(lines[prev]) == invalidMark
+			t.Name = ""
+			e.Text = t.String()
+			out = append(out, e)
+		}
+	}
 	return out
-}
+})
+
+// All returns the full corpus (correct entries plus the Figure 8 bugs).
+func All() []Entry { return slices.Clone(corpus()) }
 
 // ByFile groups the corpus by InstCombine file.
 func ByFile() map[string][]Entry {
 	m := map[string][]Entry{}
-	for _, e := range All() {
+	for _, e := range corpus() {
 		m[e.File] = append(m[e.File], e)
 	}
 	return m
@@ -69,7 +99,7 @@ func ByFile() map[string][]Entry {
 // Figure8 returns the eight wrong transformations of Figure 8.
 func Figure8() []Entry {
 	var out []Entry
-	for _, e := range All() {
+	for _, e := range corpus() {
 		if e.WantInvalid {
 			out = append(out, e)
 		}
@@ -94,9 +124,8 @@ type PatchRevision struct {
 	WantValid bool
 }
 
-// Parse parses one entry, panicking on corpus syntax errors (the corpus
-// is compiled in; a parse failure is a programming error caught by the
-// tests).
+// Parse parses one entry, panicking on syntax errors (the corpus is
+// embedded; a parse failure is a programming error caught by the tests).
 func (e Entry) Parse() *ir.Transform {
 	t, err := parser.ParseOne(e.Text)
 	if err != nil {
@@ -111,39 +140,8 @@ func (e Entry) Parse() *ir.Transform {
 // ParseAll parses the whole corpus.
 func ParseAll() []*ir.Transform {
 	var out []*ir.Transform
-	for _, e := range All() {
+	for _, e := range corpus() {
 		out = append(out, e.Parse())
 	}
 	return out
-}
-
-// parseRevision parses one patch revision.
-func parseRevision(r PatchRevision) (*ir.Transform, error) {
-	return parser.ParseOne(r.Text)
-}
-
-// ParseOrError parses the entry, returning the error instead of
-// panicking (used by the bench harness for ad-hoc entries).
-func (e Entry) ParseOrError() (*ir.Transform, error) {
-	return parser.ParseOne(e.Text)
-}
-
-// OptFile renders the entries of one InstCombine file as a .opt document
-// (the on-disk interchange format the original Alive consumes).
-func OptFile(file string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "; %s: InstCombine patterns translated to Alive (see DESIGN.md).\n", file)
-	sb.WriteString("; Entries marked INVALID are the Figure 8 bugs and must fail verification.\n\n")
-	for _, e := range ByFile()[file] {
-		if e.WantInvalid {
-			sb.WriteString("; INVALID (Figure 8)\n")
-		}
-		t := e.Parse()
-		if t.Name == "" {
-			t.Name = e.Name
-		}
-		sb.WriteString(t.String())
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

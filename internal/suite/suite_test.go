@@ -3,6 +3,7 @@ package suite
 import (
 	"testing"
 
+	"alive/internal/parser"
 	"alive/internal/verify"
 )
 
@@ -18,7 +19,21 @@ func TestCorpusParses(t *testing.T) {
 			if tr.Root == "" && e.File != "LoadStoreAlloca" {
 				t.Fatalf("%s: missing root", e.Name)
 			}
+			if tr.Name != e.Name {
+				t.Fatalf("parsed name %q", tr.Name)
+			}
 		})
+	}
+}
+
+// TestAllIsACopy checks that a caller permuting All's result, as the
+// benchmark's shuffled workloads do, leaves the corpus order alone.
+func TestAllIsACopy(t *testing.T) {
+	es := All()
+	first := es[0].Name
+	es[0], es[1] = es[1], es[0]
+	if got := All()[0].Name; got != first {
+		t.Fatalf("All()[0] = %s after permuting an earlier result, want %s", got, first)
 	}
 }
 
@@ -93,7 +108,7 @@ func TestPatchSequence(t *testing.T) {
 	for _, rev := range seq {
 		rev := rev
 		t.Run(rev.Text[:20], func(t *testing.T) {
-			tr, err := parseRevision(rev)
+			tr, err := parser.ParseOne(rev.Text)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,5 +120,22 @@ func TestPatchSequence(t *testing.T) {
 				t.Errorf("revision %d should be invalid, got %v", rev.Revision, r.Verdict)
 			}
 		})
+	}
+}
+
+// TestCorpusRoundTrip checks printing is a parse fixed point for every
+// entry.
+func TestCorpusRoundTrip(t *testing.T) {
+	for _, e := range All() {
+		tr := e.Parse()
+		printed := tr.String()
+		tr2, err := parser.ParseOne(printed)
+		if err != nil {
+			t.Errorf("%s: reparse failed: %v\n%s", e.Name, err, printed)
+			continue
+		}
+		if tr2.String() != printed {
+			t.Errorf("%s: printing not a fixed point:\n%s\nvs\n%s", e.Name, printed, tr2.String())
+		}
 	}
 }
