@@ -245,27 +245,43 @@ func BenchmarkCompileTransforms(b *testing.B) {
 }
 
 // BenchmarkWidthScaling measures verification cost growth with bit width
-// on a shift-heavy transformation.
+// on two shift transforms: a shl-ashr fold, and the corpus's
+// Shifts:lshr-exact-exact-sum, whose i64 queries are the long pole of a
+// run at the CLI's default widths. One leg times a CDCL or
+// preprocessing change there without the rest of the corpus:
+//
+//	go test -run '^$' -bench 'WidthScaling/lshr-exact-exact-sum/i64'
 func BenchmarkWidthScaling(b *testing.B) {
-	t, err := alive.ParseOne(`
+	var shiftSum string
+	for _, e := range suite.All() {
+		if e.Name == "Shifts:lshr-exact-exact-sum" {
+			shiftSum = e.Text
+		}
+	}
+	for _, tc := range []struct{ name, src string }{
+		{"shl-ashr", `
 Pre: C1 u>= C2
 %0 = shl nsw %a, C1
 %1 = ashr %0, C2
 =>
 %1 = shl nsw %a, C1-C2
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{4, 8, 16, 32} {
-		w := w
-		b.Run(benchName(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if r := alive.Verify(t, alive.Options{Widths: []int{w}}); r.Verdict != alive.Valid {
-					b.Fatal("verification failed")
+`},
+		{"lshr-exact-exact-sum", shiftSum},
+	} {
+		t, err := alive.ParseOne(tc.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range []int{4, 8, 16, 32, 64} {
+			w := w
+			b.Run(tc.name+"/"+benchName(w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if r := alive.Verify(t, alive.Options{Widths: []int{w}}); r.Verdict != alive.Valid {
+						b.Fatal("verification failed")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 // Optimizer: build a mini-IR function, apply the verified corpus as a
 // peephole pass (the executable counterpart of the generated C++), and
-// show the before/after IR, the firing counts, and the static cost.
+// show the before/after IR, the firing counts, and the static cost. It
+// exits 1 when the optimized function computes a wrong result.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 	"sort"
 
 	"alive/internal/bv"
@@ -85,5 +87,9 @@ func main() {
 	ref := bv.New(32, 7).Xor(bv.Ones(32)).Add(bv.New(32, 51)).
 		Add(bv.New(32, 1000)).Add(bv.New(32, 0xF0F0))
 	fmt.Printf("\nresult on (7, 1000, 0xF0F0): %s (expected %s)\n", got.V, ref)
+	if got.Poison || !got.V.Eq(ref) {
+		fmt.Fprintln(os.Stderr, "optimizer: the optimized function computes a wrong result")
+		os.Exit(1)
+	}
 	_ = ir.NSW
 }

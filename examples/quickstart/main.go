@@ -1,12 +1,14 @@
 // Quickstart: parse an Alive transformation, verify it, and print the
 // verdict. This is the paper's introductory example — the InstCombine
 // pattern (x ^ -1) + C  ==>  (C - 1) - x — verified for every feasible
-// type assignment.
+// type assignment. It exits 1 unless the example is valid and a broken
+// variant of it invalid.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"alive"
 )
@@ -30,6 +32,10 @@ func main() {
 	res := alive.Verify(t, alive.Options{})
 	fmt.Printf("Verdict: %v (%d type assignments, %d solver queries, %v)\n",
 		res.Verdict, res.TypeAssignments, res.Queries, res.Duration)
+	unexpected := 0
+	if res.Verdict != alive.Valid {
+		unexpected++
+	}
 
 	// Now break it: forget the -1 in the constant expression.
 	broken, err := alive.ParseOne(`
@@ -46,5 +52,12 @@ Name: intro-example-broken
 	fmt.Printf("\nBroken variant verdict: %v\n", res.Verdict)
 	if res.Cex != nil {
 		fmt.Println(res.Cex)
+	}
+	if res.Verdict != alive.Invalid {
+		unexpected++
+	}
+	if unexpected > 0 {
+		fmt.Fprintf(os.Stderr, "quickstart: %d unexpected verdicts\n", unexpected)
+		os.Exit(1)
 	}
 }

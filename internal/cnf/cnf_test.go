@@ -91,6 +91,72 @@ func TestSelfSubsumingResolution(t *testing.T) {
 	}
 }
 
+func TestSubsumesPredicate(t *testing.T) {
+	for _, tc := range []struct {
+		c, d []int
+		want sat.Lit
+	}{
+		{[]int{1, 2}, []int{1, 2}, subsumed},
+		{[]int{1, 2}, []int{3, 2, 1}, subsumed},
+		{[]int{-1, 2}, []int{2, 4, -1}, subsumed},
+		{[]int{1, 2}, []int{-1, 2, 3}, lit(1)},
+		{[]int{1, -2}, []int{3, 2, 1}, lit(-2)},
+		{[]int{1, 2, 3}, []int{3, -2, 1, 4}, lit(2)},
+		{[]int{1, 2}, []int{-1, -2, 3}, unrelated},
+		{[]int{1, 2}, []int{1, 3}, unrelated},
+		{[]int{1, 2}, []int{-1, 3}, unrelated},
+		{[]int{1, 2, 3}, []int{1, 2}, unrelated},
+	} {
+		c, d := make([]sat.Lit, len(tc.c)), make([]sat.Lit, len(tc.d))
+		for i, v := range tc.c {
+			c[i] = lit(v)
+		}
+		for i, v := range tc.d {
+			d[i] = lit(v)
+		}
+		if got := subsumes(c, d); got != tc.want {
+			t.Errorf("subsumes(%v, %v) = %v, want %v", c, d, got, tc.want)
+		}
+	}
+}
+
+// TestSubsumptionFixpoint checks by brute force that subsumption and
+// self-subsuming resolution run to their fixpoint leave no live pair
+// C, D with C ⊆ D or with C ⊆ D after flipping one literal of C.
+func TestSubsumptionFixpoint(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f, _, _ := goldenFormula(seed)
+		const rounds = 100
+		res := Preprocess(f, Options{NoElim: true, NoBlocked: true, MaxRounds: rounds})
+		if res.Unsat || res.Stats.Rounds == rounds || res.Stats.BudgetSpent >= defaultBudget {
+			t.Fatalf("seed %d: no fixpoint: %+v", seed, res.Stats)
+		}
+		for ci, c := range f.clauses {
+			if c.deleted {
+				continue
+			}
+			for di, d := range f.clauses {
+				if di == ci || d.deleted {
+					continue
+				}
+				flips := 0
+				for _, l := range c.lits {
+					switch {
+					case contains(d.lits, l):
+					case contains(d.lits, l.Not()):
+						flips++
+					default:
+						flips = 2
+					}
+				}
+				if flips < 2 {
+					t.Fatalf("seed %d: clause %d %v left with %d flips against clause %d %v", seed, ci, c.lits, flips, di, d.lits)
+				}
+			}
+		}
+	}
+}
+
 // randomClauses draws nclauses clauses of 1..maxLen literals over
 // variables 1..nvars.
 func randomClauses(rng *rand.Rand, nvars, nclauses, maxLen int) [][]int {

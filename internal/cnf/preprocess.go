@@ -285,56 +285,41 @@ func (p *prep) subsume() int64 {
 		if c.deleted {
 			continue
 		}
-		// Backward subsumption: every D ⊇ C occurs in the occurrence
-		// list of each literal of C, so scanning the cheapest one finds
-		// them all.
+		// Every D that C subsumes or strengthens holds each variable of
+		// C in one polarity or the other, so the occurrences of C's
+		// rarest variable hold every candidate (SatELite's backward
+		// subsumption, as in MiniSat's backwardSubsumptionCheck).
 		best := c.lits[0]
 		for _, l := range c.lits[1:] {
-			if len(p.occ[l]) < len(p.occ[best]) {
+			if p.occLen(l) < p.occLen(best) {
 				best = l
 			}
 		}
-		for _, di := range p.occList(best) {
-			if di == ci {
-				continue
-			}
-			d := f.clauses[di]
-			if d.deleted || len(d.lits) < len(c.lits) {
-				continue
-			}
-			p.spend(len(c.lits))
-			if c.sig&^d.sig != 0 {
-				continue
-			}
-			if subsumes(c.lits, d.lits) {
-				p.delete(d)
-				p.stats.ClausesSubsumed++
-				changed++
-			}
-		}
-		// Self-subsuming resolution: if (C \ {l}) ∪ {¬l} ⊆ D, the
-		// resolvent of C and D on l subsumes D, so ¬l can be dropped
-		// from D.
-		for _, l := range c.lits {
-			if c.deleted || !f.ok {
-				break
-			}
-			sigFlip := c.sig&^litSig(l) | litSig(l.Not())
-			for _, di := range p.occList(l.Not()) {
+		for _, l := range [2]sat.Lit{best, best.Not()} {
+			for _, di := range p.occList(l) {
+				if c.deleted || !f.ok {
+					break
+				}
 				d := f.clauses[di]
-				if d.deleted || len(d.lits) < len(c.lits) {
+				if di == ci || d.deleted || len(d.lits) < len(c.lits) {
 					continue
 				}
 				p.spend(len(c.lits))
-				if sigFlip&^d.sig != 0 {
+				if varSig(c.sig)&^varSig(d.sig) != 0 {
 					continue
 				}
-				if !strengthens(c.lits, l, d.lits) {
+				flip := subsumes(c.lits, d.lits)
+				if flip == unrelated {
 					continue
 				}
-				p.strip(d, l.Not())
-				p.stats.ClausesStrengthened++
 				changed++
+				if flip == subsumed {
+					p.delete(d)
+					p.stats.ClausesSubsumed++
+					continue
+				}
+				p.strip(d, flip.Not())
+				p.stats.ClausesStrengthened++
 				if len(d.lits) == 1 {
 					p.delete(d)
 					if !f.assign(d.lits[0]) {
@@ -353,11 +338,48 @@ func (p *prep) subsume() int64 {
 	return changed
 }
 
-// subsumes reports c ⊆ d (shared core in internal/sat).
-func subsumes(c, d []sat.Lit) bool { return sat.Subsumes(c, d) }
+// occLen counts the occurrences of l's variable in both polarities,
+// stale entries included.
+func (p *prep) occLen(l sat.Lit) int { return len(p.occ[l]) + len(p.occ[l.Not()]) }
 
-// strengthens reports (c \ {l}) ∪ {¬l} ⊆ d (shared core in internal/sat).
-func strengthens(c []sat.Lit, l sat.Lit, d []sat.Lit) bool { return sat.Strengthens(c, l, d) }
+// varSig folds a clause signature onto variables: a literal's bit and
+// its complement's are neighbours, so the result has the even bit of
+// each pair set when the clause mentions the variable in either
+// polarity. varSig(C) &^ varSig(D) != 0 proves that D lacks a variable
+// of C, so C neither subsumes nor strengthens D.
+func varSig(sig uint64) uint64 { return (sig | sig>>1) & 0x5555555555555555 }
+
+// Answers of subsumes besides a literal to flip. Variables are
+// 1-based, so neither is the literal of one.
+const (
+	subsumed  sat.Lit = 0
+	unrelated sat.Lit = -1
+)
+
+// subsumes tests c against d in one pass, like MiniSat's
+// Clause::subsumes. It returns subsumed when c ⊆ d, and a literal l of
+// c when (c \ {l}) ∪ {¬l} ⊆ d: resolving c and d on l gives a clause
+// that subsumes d, so ¬l can be removed from d (self-subsuming
+// resolution). Otherwise it returns unrelated. No clause holds a
+// literal and its complement, so each literal of c matches d at most
+// one way.
+func subsumes(c, d []sat.Lit) sat.Lit {
+	flip := subsumed
+next:
+	for _, l := range c {
+		for _, m := range d {
+			if m == l {
+				continue next
+			}
+			if m == l.Not() && flip == subsumed {
+				flip = l
+				continue next
+			}
+		}
+		return unrelated
+	}
+	return flip
+}
 
 // resolve appends the resolvent of a and b on variable v to buf. When
 // the resolvent is tautological it reports ok=false and returns buf

@@ -1,9 +1,9 @@
 package sat
 
-// This file is the subsumption core of the CNF preprocessor
-// (internal/cnf, between bit-blasting and search): 64-bit clause
-// signatures as a subset pre-filter, plus the literal-level subsumption
-// and self-subsumption predicates, over this package's Lit.
+// This file holds the clause signatures of the CNF preprocessor
+// (internal/cnf, between bit-blasting and search): 64-bit bloom filters
+// over this package's Lit that reject most subsumption candidates
+// before their literals are compared.
 
 // LitSig returns the one-bit bloom signature of a literal.
 func LitSig(l Lit) uint64 { return 1 << (uint32(l) % 64) }
@@ -27,29 +27,4 @@ func ContainsLit(lits []Lit, l Lit) bool {
 		}
 	}
 	return false
-}
-
-// Subsumes reports c ⊆ d.
-func Subsumes(c, d []Lit) bool {
-	for _, l := range c {
-		if !ContainsLit(d, l) {
-			return false
-		}
-	}
-	return true
-}
-
-// Strengthens reports (c \ {l}) ∪ {¬l} ⊆ d: resolving c and d on l
-// yields a clause that subsumes d, so ¬l can be removed from d
-// (self-subsuming resolution).
-func Strengthens(c []Lit, l Lit, d []Lit) bool {
-	for _, x := range c {
-		if x == l {
-			x = x.Not()
-		}
-		if !ContainsLit(d, x) {
-			return false
-		}
-	}
-	return true
 }

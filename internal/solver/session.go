@@ -95,28 +95,34 @@ func termSize(t *smt.Term, sizes map[*smt.Term]int) int {
 	return n
 }
 
-// hasDivRem reports whether a division or remainder appears anywhere
-// in the term DAG rooted at t (memoized per call on the hash-consed
-// nodes).
-func hasDivRem(t *smt.Term) bool {
-	return hasDivRemMemo(t, map[*smt.Term]bool{})
-}
+// Kind sets hasKind tests for, one bit per smt.Kind.
+const (
+	divRemKinds     uint64 = 1<<smt.KBVUdiv | 1<<smt.KBVSdiv | 1<<smt.KBVUrem | 1<<smt.KBVSrem
+	rightShiftKinds uint64 = 1<<smt.KBVLshr | 1<<smt.KBVAshr
+)
 
-func hasDivRemMemo(t *smt.Term, seen map[*smt.Term]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch t.Kind {
-	case smt.KBVUdiv, smt.KBVSdiv, smt.KBVUrem, smt.KBVSrem:
-		return true
-	}
-	for _, a := range t.Args {
-		if hasDivRemMemo(a, seen) {
+// hasKind reports whether a node of a kind in the set kinds appears
+// anywhere in the term DAG rooted at t (memoized per call on the
+// hash-consed nodes).
+func hasKind(t *smt.Term, kinds uint64) bool {
+	seen := map[*smt.Term]bool{}
+	var walk func(*smt.Term) bool
+	walk = func(t *smt.Term) bool {
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		if kinds&(1<<t.Kind) != 0 {
 			return true
 		}
+		for _, a := range t.Args {
+			if walk(a) {
+				return true
+			}
+		}
+		return false
 	}
-	return false
+	return walk(t)
 }
 
 // firstDivRem returns the first division or remainder node in the DAG
@@ -152,11 +158,15 @@ func firstDivRem(t *smt.Term, signedOnly bool, seen map[*smt.Term]bool) *smt.Ter
 // set. Slicing is where the session earns its keep on equivalence
 // proofs, and which disequality to slice depends on the circuit:
 //
-//   - Adder/multiplier/shift miters slice the miter itself,
+//   - Adder, multiplier and left-shift miters slice the miter itself,
 //     least-significant bit first — bit i's cone is a fraction of the
 //     whole, and the equivalence lemmas CDCL learns about shared
 //     internal nodes while proving bit i are already in the clause
 //     database when bit i+1 is assumed.
+//   - A miter whose disequality holds a right shift (lshr, ashr) is
+//     sliced most-significant bit first: a right shift's output bit i
+//     reads only input bits i and above, so its small cones are at
+//     the top.
 //   - Division and remainder circuits get no such gradient from the
 //     output side (a quotient/remainder bit's cone is most of the
 //     subtract chain), but their queries carry divisor-nonzero side
@@ -202,7 +212,7 @@ func slicePlan(b *smt.Builder, bl *bitblast.Blaster, formula *smt.Term, vcLit sa
 	if large == -1 {
 		return [][]sat.Lit{{vcLit}}, false
 	}
-	divrem := hasDivRem(formula)
+	divrem := hasKind(formula, divRemKinds)
 	chosen := large
 	if divrem {
 		chosen = small
@@ -266,7 +276,8 @@ func slicePlan(b *smt.Builder, bl *bitblast.Blaster, formula *smt.Term, vcLit sa
 			}
 		}
 	}
-	diffs := bitDiffs(b, bl, cs[chosen].Args[0], divrem)
+	msbFirst := divrem || hasKind(cs[chosen].Args[0], rightShiftKinds)
+	diffs := bitDiffs(b, bl, cs[chosen].Args[0], msbFirst)
 	if len(diffs) == 0 {
 		// Every bit folded to "never differs": the disequality — and so
 		// the formula — is unsatisfiable outright. One contradictory

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"alive/internal/bitblast"
 	"alive/internal/sat"
 	"alive/internal/smt"
 )
@@ -120,5 +121,40 @@ func TestSessionConflictBudget(t *testing.T) {
 	x := b.Var("x", 32)
 	if r := s.Check(b, b.Eq(x, b.ConstUint(32, 3))); r.Status != Sat {
 		t.Fatalf("easy query after budget unknown: got %v, want sat", r.Status)
+	}
+}
+
+// TestSlicePlanOrder checks the order in which a miter's output bits
+// are solved: most-significant first when the disequality holds a
+// right shift, least-significant first for adders and left shifts.
+func TestSlicePlanOrder(t *testing.T) {
+	const w = 8
+	b := smt.NewBuilder()
+	x, c1, c2 := b.Var("x", w), b.Var("c1", w), b.Var("c2", w)
+	sum := b.Add(c1, c2)
+	for _, tc := range []struct {
+		name     string
+		lhs, rhs *smt.Term
+		first    int
+	}{
+		{"lshr", b.Lshr(b.Lshr(x, c1), c2), b.Lshr(x, sum), w - 1},
+		{"ashr", b.Ashr(b.Ashr(x, c1), c2), b.Ashr(x, sum), w - 1},
+		{"shl", b.Shl(b.Shl(x, c1), c2), b.Shl(x, sum), 0},
+		{"add", b.Add(x, c1), b.Add(x, c2), 0},
+	} {
+		bl := bitblast.New(sat.New())
+		formula := b.Not(b.Eq(tc.lhs, tc.rhs))
+		plan, _ := slicePlan(b, bl, formula, bl.Lit(formula), true)
+		if len(plan) != w {
+			t.Fatalf("%s: %d slices, want %d", tc.name, len(plan), w)
+		}
+		last := w - 1 - tc.first
+		bit := func(i int) sat.Lit {
+			return bl.Lit(b.Not(b.Eq(b.Extract(tc.lhs, i, i), b.Extract(tc.rhs, i, i))))
+		}
+		if plan[0][1] != bit(tc.first) || plan[w-1][1] != bit(last) {
+			t.Errorf("%s: slices run from %v to %v, want bit %d (%v) to bit %d (%v)",
+				tc.name, plan[0][1], plan[w-1][1], tc.first, bit(tc.first), last, bit(last))
+		}
 	}
 }

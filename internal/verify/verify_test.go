@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"alive/internal/parser"
+	"alive/internal/suite"
 )
 
 // quick options keep unit tests fast: small widths only.
@@ -384,5 +385,27 @@ Pre: totallyMadeUp(%x)
 `, quickOpts)
 	if r.Verdict != Unknown || r.Err == nil {
 		t.Fatalf("unknown predicate should yield Unknown with error, got %v (%v)", r.Verdict, r.Err)
+	}
+}
+
+// TestWideShiftPreprocessing pins how far CNF preprocessing gets on
+// the composed-shift long pole at i64: it must reach far past the 25
+// eliminations of a preprocessor that spends its default budget in
+// round-1 subsumption. The counter is deterministic.
+func TestWideShiftPreprocessing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a 64-bit query")
+	}
+	var r Result
+	for _, e := range suite.All() {
+		if e.Name == "Shifts:shl-shl-sum" {
+			r = Verify(e.Parse(), Options{Widths: []int{64}})
+		}
+	}
+	if r.Verdict != Valid {
+		t.Fatalf("Shifts:shl-shl-sum at i64: got %v (err=%v), want valid", r.Verdict, r.Err)
+	}
+	if got := r.Counters.VarsEliminated; got < 250 {
+		t.Errorf("Shifts:shl-shl-sum at i64: %d variables eliminated, want at least 250", got)
 	}
 }
