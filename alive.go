@@ -254,6 +254,14 @@ func InferAttributes(t *Transform, opts Options) (*AttrResult, error) {
 	return attrs.Infer(t, opts)
 }
 
+// InferAttributesContext is InferAttributes governed by a context:
+// each candidate check runs under it, and once it is done no further
+// check starts. Candidates left unchecked, or that the checker gave up
+// on, are listed in AttrResult.Undecided.
+func InferAttributesContext(ctx context.Context, t *Transform, opts Options) (*AttrResult, error) {
+	return attrs.InferContext(ctx, t, opts)
+}
+
 // GenerateCpp emits InstCombine-style C++ for a (verified)
 // transformation, as in Figure 7.
 func GenerateCpp(t *Transform) (string, error) { return codegen.Generate(t) }

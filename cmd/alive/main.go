@@ -57,12 +57,15 @@
 // A SIGINT or SIGTERM stops the run gracefully: in-flight proofs are
 // cancelled, verdicts already reached are kept (and journaled, with
 // -journal/-resume), and transformations that never ran are reported
-// unknown (cancelled).
+// unknown (cancelled). -total-timeout and an interrupt also end -infer:
+// no further candidate is checked, and the inference reports how many
+// it left undecided.
 //
 // Exit status: 0 all valid; 1 a transformation is incorrect, rejected, or
 // failed to parse; 2 usage error; 3 a verdict is unknown (budget,
-// deadline, unsupported, out-of-memory); 4 the verifier panicked on a
-// transformation (isolated, never a crash); 130 the run was interrupted.
+// deadline, unsupported, out-of-memory), or -infer left a candidate
+// undecided; 4 the verifier panicked on a transformation (isolated,
+// never a crash); 130 the run was interrupted.
 // When several apply the most severe wins: 1 > 4 > 3 > 130 — except that
 // unknowns which exist only because the run was interrupted count as the
 // interrupt, not as unknown.
@@ -70,6 +73,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -320,15 +324,16 @@ func run() int {
 	})
 
 	// Heavy post-processing of valid transformations runs after the
-	// parallel phase, sequentially.
+	// parallel phase, sequentially, under the same context.
+	inferDecided := true
 	if *infer || *gencpp {
 		for i, res := range results {
 			if res.Verdict != alive.Valid {
 				continue
 			}
 			fmt.Printf("%s:\n", names[i])
-			if *infer {
-				runInference(corpus[i], opts)
+			if *infer && !runInference(ctx, corpus[i], opts) {
+				inferDecided = false
 			}
 			if *gencpp {
 				cpp, gerr := alive.GenerateCpp(corpus[i])
@@ -357,7 +362,7 @@ func run() int {
 	if stats.JournalError != nil {
 		fmt.Fprintf(os.Stderr, "alive: journal: %v (verdicts above are unaffected)\n", stats.JournalError)
 	}
-	if stats.Interrupted {
+	if stats.Interrupted || (!inferDecided && ctx.Err() != nil) {
 		fmt.Fprintln(os.Stderr, "alive: run interrupted; partial results above")
 	}
 
@@ -385,7 +390,17 @@ func run() int {
 		}
 	}
 
-	return exitCode(parseFailed, stats)
+	code := exitCode(parseFailed, stats)
+	if code == 0 && !inferDecided {
+		// An inference the checker gave up on, or that the run's end cut
+		// short, is an unknown; an interrupt during inference is the
+		// interrupt.
+		code = 3
+		if errors.Is(ctx.Err(), context.Canceled) {
+			code = 130
+		}
+	}
+	return code
 }
 
 func writeStats(path string, sum *alive.Summary) error {
@@ -499,14 +514,17 @@ func lintFile(path string) string {
 	return path
 }
 
-func runInference(t *alive.Transform, opts alive.Options) {
-	r, err := alive.InferAttributes(t, opts)
+// runInference prints t's attribute inference and reports whether it
+// decided every candidate.
+func runInference(ctx context.Context, t *alive.Transform, opts alive.Options) bool {
+	r, err := alive.InferAttributesContext(ctx, t, opts)
 	if err != nil {
 		fmt.Printf("  infer: %v\n", err)
-		return
+		return false
 	}
 	out := r.Describe()
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		fmt.Printf("  infer: %s\n", line)
 	}
+	return len(r.Undecided) == 0
 }

@@ -21,6 +21,7 @@ package attrs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,6 +82,13 @@ type Result struct {
 	// Checks counts refinement-checker invocations (pruned candidates
 	// excluded).
 	Checks int
+
+	// Undecided lists the candidates whose correctness is not known: the
+	// checker gave up on them (an Unknown verdict, such as a conflict
+	// budget or a deadline), or the context ended before they were
+	// checked. Pruning never draws on them, so Feasible and Best hold
+	// only proven assignments, but Best may miss an undecided better one.
+	Undecided []Assignment
 }
 
 // Render returns the transformation text with the given assignment
@@ -153,10 +161,29 @@ func slots(t *ir.Transform) []Slot {
 	return out
 }
 
+// Candidate statuses in Infer's decision cache.
+const (
+	unchecked = iota
+	correct
+	incorrect
+	// gaveUp: the checker returned Unknown, or the context ended first.
+	gaveUp
+)
+
 // Infer runs attribute inference. The transformation must be correct as
 // written; inference then explores the attribute lattice. MaxSlots bounds
-// the exhaustive enumeration (beyond it, a greedy pass is used).
+// the exhaustive enumeration (beyond it, a greedy pass is used). It is
+// InferContext with a background context.
 func Infer(t *ir.Transform, opts verify.Options) (*Result, error) {
+	return InferContext(context.Background(), t, opts)
+}
+
+// InferContext runs attribute inference under ctx. Each check runs
+// under ctx, and once ctx is done no further check starts: the
+// candidates left are reported in Result.Undecided, as are those the
+// checker gave up on. An original form the checker could not decide is
+// an error, as is an incorrect one.
+func InferContext(ctx context.Context, t *ir.Transform, opts verify.Options) (*Result, error) {
 	const maxExhaustiveSlots = 10
 
 	r := &Result{Transform: t, Slots: slots(t)}
@@ -171,38 +198,53 @@ func Infer(t *ir.Transform, opts verify.Options) (*Result, error) {
 	}
 
 	// Decision cache over bitmask candidates with partial-order pruning.
-	status := map[uint32]int{} // 0 unknown, 1 correct, 2 incorrect
+	status := map[uint32]int{}
 	c := verify.NewChecker(t, opts)
+	// why is the reason the last check that gave up gave.
+	why := ""
 	check := func(mask uint32) bool {
-		if st, ok := status[mask]; ok && st != 0 {
-			return st == 1
+		if st := status[mask]; st != unchecked {
+			return st == correct
 		}
 		// Pruning by monotonicity against decided masks.
 		for m, st := range status {
-			if st == 1 && r.implies(m, mask) {
-				status[mask] = 1
+			if st == correct && r.implies(m, mask) {
+				status[mask] = correct
 				return true
 			}
-			if st == 2 && r.implies(mask, m) {
-				status[mask] = 2
+			if st == incorrect && r.implies(mask, m) {
+				status[mask] = incorrect
 				return false
 			}
 		}
+		if err := ctx.Err(); err != nil {
+			status[mask] = gaveUp
+			why = err.Error()
+			return false
+		}
 		a := r.maskToAssignment(mask)
 		saved := r.apply(a)
-		res := c.Check(context.Background())
+		res := c.Check(ctx)
 		r.restore(saved)
 		r.Checks++
-		if res.Verdict == verify.Valid {
-			status[mask] = 1
+		switch res.Verdict {
+		case verify.Valid:
+			status[mask] = correct
 			return true
+		case verify.Unknown:
+			status[mask] = gaveUp
+			why = res.Reason.String()
+			return false
 		}
-		status[mask] = 2
+		status[mask] = incorrect
 		return false
 	}
 
 	origMask := r.assignmentToMask(r.Original)
 	if !check(origMask) {
+		if status[origMask] == gaveUp {
+			return nil, fmt.Errorf("%s: could not decide whether the transformation is correct as written (%s)", t.Name, why)
+		}
 		return nil, fmt.Errorf("%s: transformation is not correct as written; fix it before inferring attributes", t.Name)
 	}
 
@@ -230,6 +272,16 @@ func Infer(t *ir.Transform, opts verify.Options) (*Result, error) {
 		r.Feasible = append(r.Feasible, r.maskToAssignment(cur))
 	}
 
+	var undecided []uint32
+	for mask, st := range status {
+		if st == gaveUp {
+			undecided = append(undecided, mask)
+		}
+	}
+	slices.Sort(undecided)
+	for _, mask := range undecided {
+		r.Undecided = append(r.Undecided, r.maskToAssignment(mask))
+	}
 	r.Best = r.selectBest()
 	r.classify()
 	return r, nil
@@ -383,6 +435,9 @@ func (r *Result) Describe() string {
 	}
 	fmt.Fprintf(&sb, "%d attribute slots, %d feasible assignments (%d checks)\n",
 		len(r.Slots), len(r.Feasible), r.Checks)
+	if n := len(r.Undecided); n > 0 {
+		fmt.Fprintf(&sb, "%d assignments undecided (the checker gave up or the run ended), so these attributes may not be optimal\n", n)
+	}
 	var changes []string
 	for i, s := range r.Slots {
 		switch {
@@ -393,13 +448,16 @@ func (r *Result) Describe() string {
 		}
 	}
 	sort.Strings(changes)
-	if len(changes) == 0 {
-		sb.WriteString("attributes are already optimal\n")
-	} else {
+	switch {
+	case len(changes) > 0:
 		for _, c := range changes {
 			sb.WriteString(c)
 			sb.WriteByte('\n')
 		}
+	case len(r.Undecided) > 0:
+		sb.WriteString("no better attributes proven\n")
+	default:
+		sb.WriteString("attributes are already optimal\n")
 	}
 	return sb.String()
 }

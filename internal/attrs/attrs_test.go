@@ -1,10 +1,14 @@
 package attrs
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"alive/internal/parser"
+	"alive/internal/suite"
 	"alive/internal/verify"
 )
 
@@ -213,5 +217,117 @@ func TestDescribe(t *testing.T) {
 	d := r.Describe()
 	if !strings.Contains(d, "add tgt %r nsw") {
 		t.Fatalf("Describe missing the inferred addition:\n%s", d)
+	}
+}
+
+// TestGaveUpIsNotIncorrect: a candidate the checker gives up on stays
+// undecided. sub-constants-fold at width 4 under a one-conflict budget
+// has feasible candidates the checker cannot decide; treating them as
+// incorrect would prune feasible candidates as infeasible.
+func TestGaveUpIsNotIncorrect(t *testing.T) {
+	i := slices.IndexFunc(suite.All(), func(e suite.Entry) bool { return e.Name == "AddSub:sub-constants-fold" })
+	if i < 0 {
+		t.Fatal("corpus transform missing")
+	}
+	e := suite.All()[i]
+	full, err := Infer(e.Parse(), vOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := vOpts
+	budget.MaxConflicts = 1
+	r, err := Infer(e.Parse(), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Undecided) == 0 {
+		t.Fatal("no candidate was left undecided under a one-conflict budget")
+	}
+	feasible := map[string]bool{}
+	for _, a := range full.Feasible {
+		feasible[bits(a)] = true
+	}
+	known := map[string]bool{}
+	for _, a := range r.Feasible {
+		if !feasible[bits(a)] {
+			t.Errorf("%s is reported feasible but is not", bits(a))
+		}
+		known[bits(a)] = true
+	}
+	for _, a := range r.Undecided {
+		known[bits(a)] = true
+	}
+	for _, a := range full.Feasible {
+		if !known[bits(a)] {
+			t.Errorf("feasible %s was decided infeasible", bits(a))
+		}
+	}
+	if d := r.Describe(); !strings.Contains(d, fmt.Sprintf("%d assignments undecided", len(r.Undecided))) {
+		t.Errorf("Describe does not report the undecided candidates:\n%s", d)
+	}
+}
+
+// stopAfter is a context that reports itself cancelled from its
+// (n+1)th Err call on. It has no Done channel, so a check already
+// running is never interrupted: only Infer's test between checks sees
+// it.
+type stopAfter struct {
+	context.Context
+	n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestInferStopsBetweenChecks: once the context is done no further
+// check starts, and the candidates left are undecided.
+func TestInferStopsBetweenChecks(t *testing.T) {
+	tr, err := parser.ParseOne(`
+%r = add nsw nuw %x, %y
+=>
+%r = add %y, %x
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := InferContext(&stopAfter{Context: context.Background(), n: 1}, tr, vOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Checks != 1 {
+		t.Fatalf("%d checks after the context ended, want only the original's", r.Checks)
+	}
+	if len(r.Undecided) == 0 {
+		t.Fatal("the unchecked candidates are not reported undecided")
+	}
+	if bits(r.Best) != bits(r.Original) {
+		t.Fatalf("best = %s with nothing beyond the original proven, want %s", bits(r.Best), bits(r.Original))
+	}
+	if d := r.Describe(); !strings.Contains(d, "no better attributes proven") {
+		t.Fatalf("Describe claims an outcome it did not prove:\n%s", d)
+	}
+}
+
+// TestUndecidedOriginal: an original form the checker could not decide
+// is reported as undecided, not as incorrect.
+func TestUndecidedOriginal(t *testing.T) {
+	tr, err := parser.ParseOne(`
+%r = add nsw %x, %y
+=>
+%r = add %y, %x
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = InferContext(ctx, tr, vOpts)
+	if err == nil || !strings.Contains(err.Error(), "could not decide") || strings.Contains(err.Error(), "not correct") {
+		t.Fatalf("error = %v, want one saying the original form was not decided", err)
 	}
 }

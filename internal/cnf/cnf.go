@@ -83,6 +83,19 @@ type Formula struct {
 	sentUnits   int
 	sentClauses int
 	dirtyIdx    []int
+
+	// The occurrence index the preprocessor works on (preprocess.go):
+	// occ[int(lit)] lists, in index order, the clauses holding lit;
+	// stale[int(lit)] marks a list that may hold a dead entry, and in a
+	// warm call staleLits names the marked lists. occ is nil while no
+	// index exists; while one does, AddClause and NewVar extend it. A
+	// cold Preprocess call builds it and drops it on return, so a
+	// one-shot formula holds it only while it is preprocessed; from the
+	// first warm call on it is kept, compacted, between calls, and a
+	// warm call pays for what it adds instead of rebuilding it.
+	occ       [][]int
+	stale     []bool
+	staleLits []sat.Lit
 }
 
 // NewFormula returns an empty formula.
@@ -103,6 +116,10 @@ func (f *Formula) NewVar() int {
 	f.frozen = append(f.frozen, false)
 	f.elim = append(f.elim, false)
 	f.inCore = append(f.inCore, false)
+	if f.occ != nil {
+		f.occ = append(f.occ, nil, nil)
+		f.stale = append(f.stale, false, false)
+	}
 	return f.nvars
 }
 
@@ -208,6 +225,12 @@ func (f *Formula) AddClause(lits ...sat.Lit) bool {
 	}
 	f.clauses = append(f.clauses, &clause{lits: out, sig: computeSig(out)})
 	f.live++
+	if f.occ != nil {
+		ci := len(f.clauses) - 1
+		for _, l := range out {
+			f.occ[l] = append(f.occ[l], ci)
+		}
+	}
 	return true
 }
 

@@ -67,19 +67,14 @@ type Result struct {
 	Stats Stats
 }
 
+// prep is the state of one Preprocess call. The occurrence index and
+// the eliminated-variable marks live on the Formula, so they persist
+// across the repeated calls of an incremental session.
 type prep struct {
 	f *Formula
-	// occ[int(lit)] lists indices into f.clauses of clauses containing
-	// lit; entries go stale when clauses are deleted or strengthened and
-	// are dropped lazily by occList. Eliminated-variable marks live on
-	// the Formula so they persist across the repeated Preprocess calls
-	// of an incremental session.
-	occ [][]int
-	// stale[int(lit)] is set when occ[lit] may hold a stale entry: a
-	// clause containing lit was deleted, or lit was stripped from one.
-	// An unmarked list holds only live entries, so occList returns it
-	// without rescanning.
-	stale  []bool
+	// warm is set in a call whose index outlives it: markStale then
+	// notes each list it marks, for compactOcc.
+	warm   bool
 	budget int64
 	stop   *sat.StopFlag
 	stats  *Stats
@@ -102,7 +97,8 @@ func Preprocess(f *Formula, opts Options) *Result {
 	if budget <= 0 {
 		budget = defaultBudget
 	}
-	if f.sentClauses > 0 {
+	warm := f.sentClauses > 0
+	if warm {
 		// A warm call: a core already holds the clauses simplified by
 		// earlier calls, so effort follows what arrived since, and each
 		// query of a long session pays for its own clauses.
@@ -118,21 +114,15 @@ func Preprocess(f *Formula, opts Options) *Result {
 	if rounds <= 0 {
 		rounds = defaultMaxRounds
 	}
+	if f.occ == nil {
+		f.buildOcc()
+	}
 	p := &prep{
 		f:      f,
-		occ:    make([][]int, 2*(f.nvars+1)),
-		stale:  make([]bool, 2*(f.nvars+1)),
+		warm:   warm,
 		budget: budget,
 		stop:   opts.Stop,
 		stats:  &res.Stats,
-	}
-	for ci, c := range f.clauses {
-		if c.deleted {
-			continue
-		}
-		for _, l := range c.lits {
-			p.occ[l] = append(p.occ[l], ci)
-		}
 	}
 	p.saturate()
 	for round := 0; round < rounds && f.ok && !p.halted(); round++ {
@@ -158,7 +148,37 @@ func Preprocess(f *Formula, opts Options) *Result {
 	res.Stats.ClausesOut = f.live
 	res.Stats.BudgetSpent = budget - p.budget
 	res.Unsat = !f.ok
+	if warm {
+		f.compactOcc()
+	} else {
+		f.occ, f.stale = nil, nil
+	}
 	return res
+}
+
+// buildOcc builds the occurrence index from the live clauses.
+func (f *Formula) buildOcc() {
+	f.occ = make([][]int, 2*(f.nvars+1))
+	f.stale = make([]bool, 2*(f.nvars+1))
+	for ci, c := range f.clauses {
+		if c.deleted {
+			continue
+		}
+		for _, l := range c.lits {
+			f.occ[l] = append(f.occ[l], ci)
+		}
+	}
+}
+
+// compactOcc compacts every list still marked stale. Lists only ever
+// lose entries to compaction and gain them in index order, so
+// afterwards each list equals a fresh buildOcc's: the next call sees
+// the same lists, and the same raw lengths, as one that rebuilt them.
+func (f *Formula) compactOcc() {
+	for _, l := range f.staleLits {
+		f.occList(l)
+	}
+	f.staleLits = f.staleLits[:0]
 }
 
 // spend charges n ticks against the budget.
@@ -172,22 +192,34 @@ func contains(lits []sat.Lit, l sat.Lit) bool { return sat.ContainsLit(lits, l) 
 
 // occList returns the live occurrence list of l. A list marked stale
 // is compacted in place first; the others hold only live entries.
-func (p *prep) occList(l sat.Lit) []int {
-	lst := p.occ[l]
-	if !p.stale[l] {
+func (f *Formula) occList(l sat.Lit) []int {
+	lst := f.occ[l]
+	if !f.stale[l] {
 		return lst
 	}
-	p.stale[l] = false
+	f.stale[l] = false
 	out := lst[:0]
 	for _, ci := range lst {
-		c := p.f.clauses[ci]
+		c := f.clauses[ci]
 		if c.deleted || !contains(c.lits, l) {
 			continue
 		}
 		out = append(out, ci)
 	}
-	p.occ[l] = out
+	f.occ[l] = out
 	return out
+}
+
+// markStale marks l's occurrence list as possibly holding a dead entry.
+func (p *prep) markStale(l sat.Lit) {
+	f := p.f
+	if f.stale[l] {
+		return
+	}
+	f.stale[l] = true
+	if p.warm {
+		f.staleLits = append(f.staleLits, l)
+	}
 }
 
 // delete removes c from the formula and marks the occurrence lists of
@@ -200,7 +232,7 @@ func (p *prep) delete(c *clause) {
 	c.deleted = true
 	p.f.live--
 	for _, l := range c.lits {
-		p.stale[l] = true
+		p.markStale(l)
 	}
 }
 
@@ -215,19 +247,7 @@ func (p *prep) strip(c *clause, l sat.Lit) {
 	}
 	c.lits = out
 	c.sig = computeSig(out)
-	p.stale[l] = true
-}
-
-// addClause routes a derived clause (resolvent) through the formula's
-// normalizing AddClause and registers occurrences for anything stored.
-func (p *prep) addClause(lits []sat.Lit) {
-	before := len(p.f.clauses)
-	p.f.AddClause(lits...)
-	for ci := before; ci < len(p.f.clauses); ci++ {
-		for _, l := range p.f.clauses[ci].lits {
-			p.occ[l] = append(p.occ[l], ci)
-		}
-	}
+	p.markStale(l)
 }
 
 // saturate propagates pending root-level units through the clause
@@ -241,11 +261,11 @@ func (p *prep) saturate() {
 		l := f.unitQ[0]
 		f.unitQ = f.unitQ[1:]
 		p.stats.Units++
-		for _, ci := range p.occList(l) {
+		for _, ci := range f.occList(l) {
 			p.spend(1)
 			p.delete(f.clauses[ci])
 		}
-		for _, ci := range p.occList(l.Not()) {
+		for _, ci := range f.occList(l.Not()) {
 			c := f.clauses[ci]
 			p.spend(len(c.lits))
 			p.strip(c, l.Not())
@@ -256,8 +276,8 @@ func (p *prep) saturate() {
 				}
 			}
 		}
-		p.occ[l] = nil
-		p.occ[l.Not()] = nil
+		f.occ[l] = nil
+		f.occ[l.Not()] = nil
 	}
 }
 
@@ -296,7 +316,7 @@ func (p *prep) subsume() int64 {
 			}
 		}
 		for _, l := range [2]sat.Lit{best, best.Not()} {
-			for _, di := range p.occList(l) {
+			for _, di := range f.occList(l) {
 				if c.deleted || !f.ok {
 					break
 				}
@@ -340,7 +360,7 @@ func (p *prep) subsume() int64 {
 
 // occLen counts the occurrences of l's variable in both polarities,
 // stale entries included.
-func (p *prep) occLen(l sat.Lit) int { return len(p.occ[l]) + len(p.occ[l.Not()]) }
+func (p *prep) occLen(l sat.Lit) int { return len(p.f.occ[l]) + len(p.f.occ[l.Not()]) }
 
 // varSig folds a clause signature onto variables: a literal's bit and
 // its complement's are neighbours, so the result has the even bit of
@@ -426,8 +446,8 @@ func (p *prep) eliminate() int64 {
 			continue
 		}
 		lp, ln := sat.MkLit(v, false), sat.MkLit(v, true)
-		pos := p.occList(lp)
-		neg := p.occList(ln)
+		pos := f.occList(lp)
+		neg := f.occList(ln)
 		if len(pos)+len(neg) == 0 || len(pos)*len(neg) > elimProductLimit {
 			continue
 		}
@@ -462,14 +482,15 @@ func (p *prep) eliminate() int64 {
 		for _, ci := range neg {
 			p.delete(f.clauses[ci])
 		}
-		p.occ[lp] = nil
-		p.occ[ln] = nil
+		f.occ[lp] = nil
+		f.occ[ln] = nil
 		f.elim[v] = true
 		p.stats.VarsEliminated++
 		changed++
 		start := 0
 		for _, end := range p.resolventEnds {
-			p.addClause(p.resolvents[start:end])
+			// AddClause copies the resolvent and indexes what it keeps.
+			f.AddClause(p.resolvents[start:end]...)
 			start = end
 			if !f.ok {
 				return changed
@@ -506,7 +527,7 @@ func (p *prep) blocked() int64 {
 				continue
 			}
 			isBlocked := true
-			for _, di := range p.occList(l.Not()) {
+			for _, di := range f.occList(l.Not()) {
 				d := f.clauses[di]
 				p.spend(len(d.lits))
 				if !tautResolvent(c.lits, d.lits, l) {

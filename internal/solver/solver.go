@@ -118,6 +118,12 @@ type Solver struct {
 	// sess is the lazily created solving session (nil until the first
 	// query that reaches bit-blasting).
 	sess *session
+	// presolve is the unconditional abstract analysis of the terms of
+	// presolveB, kept across queries: a hash-consed term's unconditional
+	// value never changes, so each query pays only for the terms it
+	// adds. A query on another builder starts a new one.
+	presolve  *absint.Analysis
+	presolveB *smt.Builder
 }
 
 // collectVars gathers variable terms of a formula keyed by name.
@@ -157,7 +163,8 @@ func conjuncts(t *smt.Term) []*smt.Term {
 //
 // Unless DisablePresolve is set, an abstract-interpretation presolve
 // runs first and may decide the query with no CDCL run: the formula's
-// unconditional abstract value (absint.New) settles it when that value
+// unconditional abstract value (absint.New, memoized across the
+// Solver's queries on one builder) settles it when that value
 // is a constant, a polynomial-normalization check (absint.RingEqual)
 // refutes top-level disequalities whose sides are the same function of
 // the ring Z/2^w, and a refinement analysis of the top-level conjuncts
@@ -201,7 +208,10 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 		// First presolve domain, bitwise: the formula's unconditional
 		// abstract value holds under every assignment, so a decided one
 		// answers the query outright.
-		switch absint.New().Of(formula).B {
+		if s.presolveB != b {
+			s.presolve, s.presolveB = absint.New(), b
+		}
+		switch s.presolve.Of(formula).B {
 		case absint.BTrue:
 			// The default model satisfies a formula true everywhere.
 			s.Stats.Decided++

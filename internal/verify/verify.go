@@ -341,6 +341,17 @@ type Checker struct {
 	// whose check ends Unknown drops its entry, and a recovered panic
 	// drops them all.
 	state map[int]*assignmentState
+	// typed holds typing's sorted output once a kept Checker has run it:
+	// typing reads no flags, so every later Check reuses it. A recovered
+	// panic drops it with the sessions.
+	typed *typed
+}
+
+// typed is the outcome of typing one transformation: its assignments in
+// preference order, or the error that stopped typing.
+type typed struct {
+	asgs []*typing.Assignment
+	err  error
 }
 
 // assignmentState is the builder and solver session of one type
@@ -406,6 +417,7 @@ func (c *Checker) Check(ctx context.Context) (res Result) {
 		if r := recover(); r != nil {
 			// The panic may have left any session half-updated.
 			clear(c.state)
+			c.typed = nil
 			res.Verdict = Unknown
 			res.Cex = nil
 			if inj, ok := faultinject.AsInjected(r); ok {
@@ -444,41 +456,23 @@ func (c *Checker) Check(ctx context.Context) (res Result) {
 		}
 	}
 
-	widths := opts.Widths
-	if opts.DivMulMaxWidth > 0 && hasHardArith(t) {
-		var capped []int
-		for _, w := range widths {
-			if w <= opts.DivMulMaxWidth {
-				capped = append(capped, w)
-			}
-		}
-		if len(capped) > 0 {
-			widths = capped
+	ty := c.typed
+	if ty == nil {
+		ty = c.typing(span)
+		if c.state != nil {
+			c.typed = ty
 		}
 	}
-
-	tspan := span.Child("typing", "typing")
-	asgs, err := typing.Infer(t, typing.Options{
-		Widths:         widths,
-		PtrWidth:       opts.PtrWidth,
-		MaxAssignments: opts.MaxAssignments,
-	})
-	if err != nil {
-		tspan.SetAttr("error", err.Error())
-		tspan.End()
+	if ty.err != nil {
 		res.Verdict = Unknown
 		res.Reason = ReasonEncoding
-		res.Err = err
+		res.Err = ty.err
 		return res
 	}
-	tspan.SetInt("assignments", int64(len(asgs)))
-	tspan.End()
 	if testHookAfterTyping != nil {
 		testHookAfterTyping(t)
 	}
-	if rootInstr := t.SourceValue(t.Root); rootInstr != nil {
-		typing.SortByPreference(asgs, rootInstr)
-	}
+	asgs := ty.asgs
 	res.TypeAssignments = len(asgs)
 
 	for i, asg := range asgs {
@@ -506,6 +500,40 @@ func (c *Checker) Check(ctx context.Context) (res Result) {
 		}
 	}
 	return res
+}
+
+// typing infers the transformation's type assignments, most preferred
+// first, under a "typing" span.
+func (c *Checker) typing(span *telemetry.Span) *typed {
+	t, opts := c.t, c.opts
+	widths := opts.Widths
+	if opts.DivMulMaxWidth > 0 && hasHardArith(t) {
+		var capped []int
+		for _, w := range widths {
+			if w <= opts.DivMulMaxWidth {
+				capped = append(capped, w)
+			}
+		}
+		if len(capped) > 0 {
+			widths = capped
+		}
+	}
+	tspan := span.Child("typing", "typing")
+	defer tspan.End()
+	asgs, err := typing.Infer(t, typing.Options{
+		Widths:         widths,
+		PtrWidth:       opts.PtrWidth,
+		MaxAssignments: opts.MaxAssignments,
+	})
+	if err != nil {
+		tspan.SetAttr("error", err.Error())
+		return &typed{err: err}
+	}
+	tspan.SetInt("assignments", int64(len(asgs)))
+	if rootInstr := t.SourceValue(t.Root); rootInstr != nil {
+		typing.SortByPreference(asgs, rootInstr)
+	}
+	return &typed{asgs: asgs}
 }
 
 // unknownDetail records where and why a single-assignment check gave up.
