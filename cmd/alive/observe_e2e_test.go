@@ -169,7 +169,7 @@ func TestFlightRecorderE2E(t *testing.T) {
 func TestTraceStreamSIGINT(t *testing.T) {
 	corpus := corpusFile(t)
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	code, _, stderr := startAndSignal(t, syscall.SIGINT, 1,
+	code, _, stderr, _ := startAndSignal(t, syscall.SIGINT, 1,
 		"-j", "1", "-quiet", "-trace", tracePath, corpus)
 	if code != 130 {
 		t.Errorf("exit = %d, want 130\n%s", code, stderr)
