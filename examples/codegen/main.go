@@ -1,11 +1,15 @@
 // Codegen: verify a transformation, then emit the InstCombine-style C++
 // of the paper's Section 4 (compare with Figure 7), plus a complete pass
-// file for a small set of optimizations.
+// file for a small set of optimizations. It exits 1 when Figure 7's body
+// lacks its two match clauses or its isSignMask precondition, or when the
+// pass skips a transformation.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
+	"strings"
 
 	"alive"
 )
@@ -33,6 +37,17 @@ Pre: isSignBit(C1)
 		log.Fatal(err)
 	}
 	fmt.Println(cpp)
+	unexpected := 0
+	for _, want := range []string{
+		"match(I, m_Add(m_Value(b), m_ConstantInt(C2)))",
+		"match(b, m_Xor(m_Value(a), m_ConstantInt(C1)))",
+		"C1->getValue().isSignMask()",
+	} {
+		if !strings.Contains(cpp, want) {
+			fmt.Fprintf(os.Stderr, "codegen: Figure 7's body lacks %s\n", want)
+			unexpected++
+		}
+	}
 
 	// A whole pass from several verified transformations.
 	ts, err := alive.Parse(`
@@ -61,6 +76,10 @@ Name: demorgan-and
 	pass, skipped := alive.GenerateCppPass("AliveGenerated", ts)
 	fmt.Println(pass)
 	for _, s := range skipped {
-		fmt.Println("skipped:", s)
+		fmt.Fprintln(os.Stderr, "codegen: skipped", s)
+		unexpected++
+	}
+	if unexpected > 0 {
+		os.Exit(1)
 	}
 }

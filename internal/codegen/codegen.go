@@ -3,8 +3,9 @@
 // a conjunction of pattern-match clauses using LLVM's m_* matcher library
 // plus the precondition, followed by construction of the target template
 // and root replacement. The generator follows the paper's structure: one
-// match() clause per source instruction, APInt arithmetic for constant
-// expressions, and unification-derived types for created constants.
+// match() clause per step of the source template's match plan
+// (ir.CompileMatch), APInt arithmetic for constant expressions, and the
+// types of matched values for created constants.
 package codegen
 
 import (
@@ -15,19 +16,26 @@ import (
 )
 
 // Generate emits the C++ body (an if-statement, Figure 7) for one
-// transformation. It fails for constructs the LLVM pattern-match library
-// cannot express (memory operations other than load).
+// transformation: the clauses of its match plan, the precondition, and
+// the construction of the target. It fails for templates the plan
+// rejects, such as memory operations other than load.
 func Generate(t *ir.Transform) (string, error) {
+	plan, err := ir.CompileMatch(t)
+	if err != nil {
+		return "", fmt.Errorf("codegen: %w", err)
+	}
 	g := &generator{
 		t:        t,
-		names:    map[ir.Value]string{},
+		plan:     plan,
+		names:    map[ir.Value]string{plan.Steps[0].In: "I"},
 		declared: map[string]string{}, // name -> C++ type
 	}
 	return g.run()
 }
 
 type generator struct {
-	t *ir.Transform
+	t    *ir.Transform
+	plan *ir.MatchPlan
 
 	names     map[ir.Value]string
 	declared  map[string]string
@@ -37,6 +45,7 @@ type generator struct {
 	body      []string
 	predCount int
 	cstCount  int
+	exprCount int
 	err       error
 }
 
@@ -71,20 +80,13 @@ func (g *generator) declare(name, typ string) {
 }
 
 func (g *generator) run() (string, error) {
-	root := g.t.SourceValue(g.t.Root)
-	if root == nil {
-		g.fail("transformations without a value root are not supported")
-		return "", g.err
-	}
-	g.names[root] = "I"
-
-	// Phase 1: match the source template top-down from the root.
-	g.matchInstr("I", root)
+	// Phase 1: the match plan, from the root.
+	g.matchStep(0)
 
 	// Phase 2: the precondition.
-	if g.t.Pre != nil {
-		if _, isTrue := g.t.Pre.(ir.TruePred); !isTrue {
-			g.clauses = append(g.clauses, g.pred(g.t.Pre))
+	if pre := g.plan.Pre; pre != nil {
+		if _, isTrue := pre.(ir.TruePred); !isTrue {
+			g.clauses = append(g.clauses, g.pred(pre))
 		}
 	}
 
@@ -133,202 +135,123 @@ func (g *generator) run() (string, error) {
 	return sb.String(), nil
 }
 
-// matchInstr emits the clause matching instruction in bound to cpp
-// variable holder, then recurses into instruction operands. Source
-// instructions are matched in a fixed order (operands left-to-right,
-// depth-first), each in its own clause as in the paper.
-func (g *generator) matchInstr(holder string, in ir.Instr) {
-	pat, post, subs := g.pattern(in)
-	g.clauses = append(g.clauses, fmt.Sprintf("match(%s, %s)", holder, pat))
-	g.clauses = append(g.clauses, post...)
-	g.flagChecks(holder, in)
-	for _, s := range subs {
-		g.matchInstr(s.name, s.instr)
+// matchStep emits the clauses of plan step i, whose instruction has a
+// C++ name by now: one match() clause as in the paper, the checks of
+// its predicate, attributes and written widths, then in operand order
+// the steps of the instructions it reaches first and the checks of its
+// constant-expression operands, in the order the plan matches them.
+func (g *generator) matchStep(i int) {
+	s := &g.plan.Steps[i]
+	holder := g.names[s.In]
+	args := make([]string, len(s.Args))
+	for j, a := range s.Args {
+		args[j] = g.operand(a)
 	}
-}
-
-type subMatch struct {
-	name  string
-	instr ir.Instr
-}
-
-// pattern builds the m_* pattern for one instruction. It returns the
-// pattern, clauses that must follow the match (predicate equality
-// checks), and the operand instructions that need their own match clause.
-func (g *generator) pattern(in ir.Instr) (pat string, post []string, subs []*subMatch) {
-	op := func(v ir.Value) string { return g.operandPattern(v, &subs) }
-	switch in := in.(type) {
+	var matcher, pred string
+	switch in := s.In.(type) {
 	case *ir.BinOp:
-		return fmt.Sprintf("%s(%s, %s)", matcherName(in.Op), op(in.X), op(in.Y)), nil, subs
+		matcher = "m_" + binOpNames[in.Op]
 	case *ir.ICmp:
 		p := fmt.Sprintf("P%d", g.predCount)
 		g.predCount++
 		g.declare(p, "ICmpInst::Predicate")
-		pat := fmt.Sprintf("m_ICmp(%s, %s, %s)", p, op(in.X), op(in.Y))
-		return pat, []string{fmt.Sprintf("%s == ICmpInst::%s", p, cppPredicate(in.Cond))}, subs
+		matcher, args = "m_ICmp", append([]string{p}, args...)
+		pred = fmt.Sprintf("%s == ICmpInst::%s", p, cppPredicate(s.Cond))
 	case *ir.Select:
-		return fmt.Sprintf("m_Select(%s, %s, %s)", op(in.Cond), op(in.TrueV), op(in.FalseV)), nil, subs
+		matcher = "m_Select"
 	case *ir.Conv:
-		return fmt.Sprintf("%s(%s)", convMatcher(in.Kind), op(in.X)), nil, subs
+		matcher = "m_" + convNames[in.Kind]
 	case *ir.Load:
-		return fmt.Sprintf("m_Load(%s)", op(in.Ptr)), nil, subs
-	case *ir.Copy:
-		g.fail("copy instructions cannot appear in the source template")
-		return "", nil, subs
-	default:
-		g.fail("%T has no LLVM matcher", in)
-		return "", nil, subs
+		matcher = "m_Load"
+	}
+	g.clauses = append(g.clauses, fmt.Sprintf("match(%s, %s(%s))", holder, matcher, strings.Join(args, ", ")))
+	if pred != "" {
+		g.clauses = append(g.clauses, pred)
+	}
+	for _, f := range []struct {
+		flag  ir.Flags
+		check string
+	}{{ir.NSW, "hasNoSignedWrap()"}, {ir.NUW, "hasNoUnsignedWrap()"}, {ir.Exact, "isExact()"}} {
+		if s.Flags&f.flag != 0 {
+			g.clauses = append(g.clauses, fmt.Sprintf("cast<BinaryOperator>(%s)->%s", holder, f.check))
+		}
+	}
+	g.widthCheck(holder, s.Width)
+	g.widthCheck(fmt.Sprintf("cast<Instruction>(%s)->getOperand(0)", holder), s.ArgWidth)
+	for _, a := range s.Args {
+		switch a.Kind {
+		case ir.ArgBind:
+			g.widthCheck(g.names[a.V], a.Width)
+		case ir.ArgInstr:
+			g.matchStep(a.Step)
+		case ir.ArgConst:
+			g.clauses = append(g.clauses, fmt.Sprintf("%s->getValue() == %s", g.names[a.V], g.apintExpr(a.V)))
+		}
 	}
 }
 
-// operandPattern renders one operand inside a pattern.
-func (g *generator) operandPattern(v ir.Value, subs *[]*subMatch) string {
-	if name, bound := g.names[v]; bound {
-		// Repeated use of an already-bound value.
-		return fmt.Sprintf("m_Specific(%s)", name)
-	}
-	switch v := v.(type) {
-	case *ir.Input:
-		name := cppName(v.VName)
-		g.names[v] = name
-		g.declare(name, "Value *")
-		return fmt.Sprintf("m_Value(%s)", name)
-	case *ir.AbstractConst:
-		name := cppName(v.CName)
-		g.names[v] = name
-		g.declare(name, "ConstantInt *")
-		return fmt.Sprintf("m_ConstantInt(%s)", name)
-	case *ir.Literal:
-		switch {
-		case v.Bool && v.V != 0:
+// operand renders the pattern of one operand. A value is bound by the
+// first match() clause that names it and compared by later ones; a
+// constant expression binds a constant of its own, which a later clause
+// compares with the expression's value.
+func (g *generator) operand(a ir.MatchArg) string {
+	switch a.Kind {
+	case ir.ArgLiteral:
+		switch v := a.V.(*ir.Literal); {
+		case v.Bool && v.V != 0, v.V == 1:
 			return "m_One()"
 		case v.V == 0:
 			return "m_Zero()"
-		case v.V == 1:
-			return "m_One()"
 		case v.V == -1:
 			return "m_AllOnes()"
 		default:
 			return fmt.Sprintf("m_SpecificInt(%d)", v.V)
 		}
-	case *ir.UndefValue:
+	case ir.ArgUndef:
 		return "m_Undef()"
-	case ir.Instr:
-		name := cppName(v.Name())
-		g.names[v] = name
-		g.declare(name, "Value *")
-		*subs = append(*subs, &subMatch{name: name, instr: v})
-		return fmt.Sprintf("m_Value(%s)", name)
+	case ir.ArgConst:
+		name := fmt.Sprintf("CE%d", g.exprCount)
+		g.exprCount++
+		g.names[a.V] = name
+		g.declare(name, "ConstantInt *")
+		return fmt.Sprintf("m_ConstantInt(%s)", name)
 	}
-	g.fail("cannot match operand %s", v)
-	return ""
+	if name, bound := g.names[a.V]; bound {
+		return fmt.Sprintf("m_Specific(%s)", name)
+	}
+	name := cppName(a.V.Name())
+	g.names[a.V] = name
+	if _, isConst := a.V.(*ir.AbstractConst); isConst {
+		g.declare(name, "ConstantInt *")
+		return fmt.Sprintf("m_ConstantInt(%s)", name)
+	}
+	g.declare(name, "Value *")
+	return fmt.Sprintf("m_Value(%s)", name)
 }
 
-// flagChecks emits hasNoSignedWrap()/… clauses for source attributes.
-func (g *generator) flagChecks(holder string, in ir.Instr) {
-	bo, ok := in.(*ir.BinOp)
-	if !ok {
-		return
-	}
-	cast := holder
-	if holder != "I" {
-		cast = fmt.Sprintf("cast<BinaryOperator>(%s)", holder)
-	} else {
-		cast = "cast<BinaryOperator>(I)"
-	}
-	if bo.Flags&ir.NSW != 0 {
-		g.clauses = append(g.clauses, cast+"->hasNoSignedWrap()")
-	}
-	if bo.Flags&ir.NUW != 0 {
-		g.clauses = append(g.clauses, cast+"->hasNoUnsignedWrap()")
-	}
-	if bo.Flags&ir.Exact != 0 {
-		g.clauses = append(g.clauses, cast+"->isExact()")
+// widthCheck emits the clause that value v has the written width w, if
+// one was written: the transformation was only proved at it.
+func (g *generator) widthCheck(v string, w int) {
+	if w != 0 {
+		g.clauses = append(g.clauses, fmt.Sprintf("%s->getType()->isIntegerTy(%d)", v, w))
 	}
 }
 
-func matcherName(op ir.BinOpKind) string {
-	switch op {
-	case ir.Add:
-		return "m_Add"
-	case ir.Sub:
-		return "m_Sub"
-	case ir.Mul:
-		return "m_Mul"
-	case ir.UDiv:
-		return "m_UDiv"
-	case ir.SDiv:
-		return "m_SDiv"
-	case ir.URem:
-		return "m_URem"
-	case ir.SRem:
-		return "m_SRem"
-	case ir.Shl:
-		return "m_Shl"
-	case ir.LShr:
-		return "m_LShr"
-	case ir.AShr:
-		return "m_AShr"
-	case ir.And:
-		return "m_And"
-	case ir.Or:
-		return "m_Or"
-	case ir.Xor:
-		return "m_Xor"
+// binOpNames and convNames spell the binary operators and conversions as
+// LLVM does: after m_ in a matcher, Create in a constructor, and
+// Instruction:: in a cast's opcode.
+var (
+	binOpNames = map[ir.BinOpKind]string{
+		ir.Add: "Add", ir.Sub: "Sub", ir.Mul: "Mul", ir.UDiv: "UDiv", ir.SDiv: "SDiv",
+		ir.URem: "URem", ir.SRem: "SRem", ir.Shl: "Shl", ir.LShr: "LShr", ir.AShr: "AShr",
+		ir.And: "And", ir.Or: "Or", ir.Xor: "Xor",
 	}
-	return "m_Unknown"
-}
-
-func convMatcher(k ir.ConvKind) string {
-	switch k {
-	case ir.ZExt:
-		return "m_ZExt"
-	case ir.SExt:
-		return "m_SExt"
-	case ir.Trunc:
-		return "m_Trunc"
-	case ir.BitCast:
-		return "m_BitCast"
-	case ir.PtrToInt:
-		return "m_PtrToInt"
-	case ir.IntToPtr:
-		return "m_IntToPtr"
+	convNames = map[ir.ConvKind]string{
+		ir.ZExt: "ZExt", ir.SExt: "SExt", ir.Trunc: "Trunc",
+		ir.BitCast: "BitCast", ir.PtrToInt: "PtrToInt", ir.IntToPtr: "IntToPtr",
 	}
-	return "m_UnknownCast"
-}
+)
 
 func cppPredicate(c ir.CmpCond) string {
 	return "ICMP_" + strings.ToUpper(c.String())
-}
-
-func cppCreateName(op ir.BinOpKind) string {
-	switch op {
-	case ir.Add:
-		return "CreateAdd"
-	case ir.Sub:
-		return "CreateSub"
-	case ir.Mul:
-		return "CreateMul"
-	case ir.UDiv:
-		return "CreateUDiv"
-	case ir.SDiv:
-		return "CreateSDiv"
-	case ir.URem:
-		return "CreateURem"
-	case ir.SRem:
-		return "CreateSRem"
-	case ir.Shl:
-		return "CreateShl"
-	case ir.LShr:
-		return "CreateLShr"
-	case ir.AShr:
-		return "CreateAShr"
-	case ir.And:
-		return "CreateAnd"
-	case ir.Or:
-		return "CreateOr"
-	case ir.Xor:
-		return "CreateXor"
-	}
-	return "CreateUnknown"
 }

@@ -43,7 +43,7 @@ Pre: isSignBit(C1)
 		"\n  ConstantInt *C2, *C1;\n",
 		"match(I, m_Add(m_Value(b), m_ConstantInt(C2)))",
 		"match(b, m_Xor(m_Value(a), m_ConstantInt(C1)))",
-		"C1->getValue().isSignBit()",
+		"C1->getValue().isSignMask()",
 		"C1->getValue() ^ C2->getValue()",
 		"ConstantInt::get(",
 		"BinaryOperator::CreateAdd(a, C1_new",

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"strings"
 
 	"alive/internal/ir"
 )
@@ -46,8 +47,8 @@ func (g *generator) buildBinOp(in *ir.BinOp) {
 	ty := g.operandTypeHint(in)
 	x := g.cppValue(in.X, ty)
 	y := g.cppValue(in.Y, ty)
-	g.body = append(g.body, fmt.Sprintf("BinaryOperator *%s = BinaryOperator::%s(%s, %s, \"\", I);",
-		name, cppCreateName(in.Op), x, y))
+	g.body = append(g.body, fmt.Sprintf("BinaryOperator *%s = BinaryOperator::Create%s(%s, %s, \"\", I);",
+		name, binOpNames[in.Op], x, y))
 	if in.Flags&ir.NSW != 0 {
 		g.body = append(g.body, fmt.Sprintf("%s->setHasNoSignedWrap(true);", name))
 	}
@@ -76,21 +77,14 @@ func (g *generator) buildSelect(in *ir.Select) {
 
 func (g *generator) buildConv(in *ir.Conv) {
 	name := g.defineName(in)
-	// Result type: explicit annotation, the root type for the root, or the
-	// unification fallback I->getType(). Explicit annotations also add a
-	// guard clause (phase three of the paper's type unification).
 	destTy := "I->getType()"
 	if in.ToType != nil {
 		if it, ok := in.ToType.(ir.IntType); ok {
 			destTy = fmt.Sprintf("Type::getIntNTy(I->getContext(), %d)", it.Bits)
 		}
 	}
-	op := "Instruction::" + map[ir.ConvKind]string{
-		ir.ZExt: "ZExt", ir.SExt: "SExt", ir.Trunc: "Trunc",
-		ir.BitCast: "BitCast", ir.PtrToInt: "PtrToInt", ir.IntToPtr: "IntToPtr",
-	}[in.Kind]
-	g.body = append(g.body, fmt.Sprintf("CastInst *%s = CastInst::Create(%s, %s, %s, \"\", I);",
-		name, op, g.cppValue(in.X, "I->getType()"), destTy))
+	g.body = append(g.body, fmt.Sprintf("CastInst *%s = CastInst::Create(Instruction::%s, %s, %s, \"\", I);",
+		name, convNames[in.Kind], g.cppValue(in.X, "I->getType()"), destTy))
 }
 
 func (g *generator) defineName(in ir.Instr) string {
@@ -174,34 +168,19 @@ func (g *generator) apintExpr(v ir.Value) string {
 		return "~" + g.apintParen(v.X)
 	case *ir.ConstBinExpr:
 		x, y := g.apintParen(v.X), g.apintParen(v.Y)
-		switch v.Op {
-		case ir.CAdd:
-			return x + " + " + y
-		case ir.CSub:
-			return x + " - " + y
-		case ir.CMul:
-			return x + " * " + y
-		case ir.CSDiv:
-			return x + ".sdiv(" + g.apintExpr(v.Y) + ")"
-		case ir.CUDiv:
-			return x + ".udiv(" + g.apintExpr(v.Y) + ")"
-		case ir.CSRem:
-			return x + ".srem(" + g.apintExpr(v.Y) + ")"
-		case ir.CURem:
-			return x + ".urem(" + g.apintExpr(v.Y) + ")"
-		case ir.CShl:
-			return x + ".shl(" + g.apintExpr(v.Y) + ")"
-		case ir.CAShr:
-			return x + ".ashr(" + g.apintExpr(v.Y) + ")"
-		case ir.CLShr:
-			return x + ".lshr(" + g.apintExpr(v.Y) + ")"
-		case ir.CAnd:
-			return x + " & " + y
-		case ir.COr:
-			return x + " | " + y
-		case ir.CXor:
-			return x + " ^ " + y
+		method, ok := apintMethods[v.Op]
+		if !ok {
+			return x + " " + v.Op.String() + " " + y
 		}
+		if lit, ok := v.X.(*ir.Literal); ok {
+			// The receiver is an APInt of the expression's width, which
+			// both operands share.
+			if _, ok := v.Y.(*ir.Literal); ok {
+				g.fail("%s has no width", v)
+			}
+			x = fmt.Sprintf("APInt(%s.getBitWidth(), %d, true)", y, lit.V)
+		}
+		return x + "." + method + "(" + g.apintExpr(v.Y) + ")"
 	case *ir.ConstFunc:
 		return g.apintFunc(v)
 	case *ir.Input:
@@ -210,6 +189,13 @@ func (g *generator) apintExpr(v ir.Value) string {
 	}
 	g.fail("cannot render %s as APInt", v)
 	return ""
+}
+
+// apintMethods spell the constant operators C++ has no operator for;
+// the others are spelt as in Alive.
+var apintMethods = map[ir.ConstBinOp]string{
+	ir.CSDiv: "sdiv", ir.CUDiv: "udiv", ir.CSRem: "srem", ir.CURem: "urem",
+	ir.CShl: "shl", ir.CAShr: "ashr", ir.CLShr: "lshr",
 }
 
 func (g *generator) apintParen(v ir.Value) string {
@@ -227,10 +213,15 @@ func (g *generator) apintFunc(v *ir.ConstFunc) string {
 	case "log2":
 		return fmt.Sprintf("APInt(%s.getBitWidth(), %s.logBase2())", arg(0), arg(0))
 	case "width":
+		// An APInt of the argument's width: the corpus compares width(%x)
+		// with shift amounts of %x, and APInt operands must agree in width.
+		var w string
 		if in, ok := v.Args[0].(*ir.Input); ok {
-			return fmt.Sprintf("APInt(64, %s->getType()->getScalarSizeInBits())", g.names[in])
+			w = g.names[in] + "->getType()->getScalarSizeInBits()"
+		} else {
+			w = arg(0) + ".getBitWidth()"
 		}
-		return fmt.Sprintf("APInt(64, %s.getBitWidth())", arg(0))
+		return fmt.Sprintf("APInt(%s, %s)", w, w)
 	case "abs":
 		return arg(0) + ".abs()"
 	case "umax":
@@ -256,6 +247,15 @@ func (g *generator) apintFunc(v *ir.ConstFunc) string {
 	return ""
 }
 
+// overflowOps are the APInt operations that decide the WillNotOverflow
+// predicates on constants.
+var overflowOps = map[string]string{
+	"WillNotOverflowSignedAdd": "sadd_ov", "WillNotOverflowUnsignedAdd": "uadd_ov",
+	"WillNotOverflowSignedSub": "ssub_ov", "WillNotOverflowUnsignedSub": "usub_ov",
+	"WillNotOverflowSignedMul": "smul_ov", "WillNotOverflowUnsignedMul": "umul_ov",
+	"WillNotOverflowSignedShl": "sshl_ov", "WillNotOverflowUnsignedShl": "ushl_ov",
+}
+
 // pred renders a precondition clause.
 func (g *generator) pred(p ir.Pred) string {
 	switch q := p.(type) {
@@ -268,13 +268,13 @@ func (g *generator) pred(p ir.Pred) string {
 		for i, r := range q.Ps {
 			parts[i] = g.pred(r)
 		}
-		return joinWith(parts, " && ")
+		return strings.Join(parts, " && ")
 	case *ir.OrPred:
 		parts := make([]string, len(q.Ps))
 		for i, r := range q.Ps {
 			parts[i] = "(" + g.pred(r) + ")"
 		}
-		return joinWith(parts, " || ")
+		return strings.Join(parts, " || ")
 	case *ir.CmpPred:
 		return g.cmpPred(q)
 	case *ir.FuncPred:
@@ -330,6 +330,15 @@ func (g *generator) funcPred(q *ir.FuncPred) string {
 			allConst = false
 		}
 	}
+	if op, ok := overflowOps[q.FName]; ok {
+		if allConst {
+			// Precise on constants: probe the overflow flag of APInt's
+			// checked operation.
+			x, y := g.apintParen(q.Args[0]), g.apintExpr(q.Args[1])
+			return fmt.Sprintf("[&] { bool Ov; %s.%s(%s, Ov); return !Ov; }()", x, op, y)
+		}
+		return fmt.Sprintf("%s(%s, %s, *I)", q.FName, valueArg(0), valueArg(1))
+	}
 	switch q.FName {
 	case "isPowerOf2":
 		if allConst {
@@ -343,41 +352,14 @@ func (g *generator) funcPred(q *ir.FuncPred) string {
 		}
 		return fmt.Sprintf("isKnownToBeAPowerOfTwo(%s, /*OrZero=*/true)", valueArg(0))
 	case "isSignBit":
-		return g.apintParen(q.Args[0]) + ".isSignBit()"
+		return g.apintParen(q.Args[0]) + ".isSignMask()"
 	case "isShiftedMask":
 		return g.apintParen(q.Args[0]) + ".isShiftedMask()"
 	case "MaskedValueIsZero":
 		return fmt.Sprintf("MaskedValueIsZero(%s, %s)", valueArg(0), g.apintExpr(q.Args[1]))
-	case "WillNotOverflowSignedAdd":
-		return fmt.Sprintf("WillNotOverflowSignedAdd(%s, %s, *I)", valueArg(0), valueArg(1))
-	case "WillNotOverflowUnsignedAdd":
-		return fmt.Sprintf("WillNotOverflowUnsignedAdd(%s, %s, *I)", valueArg(0), valueArg(1))
-	case "WillNotOverflowSignedSub":
-		return fmt.Sprintf("WillNotOverflowSignedSub(%s, %s, *I)", valueArg(0), valueArg(1))
-	case "WillNotOverflowUnsignedSub":
-		return fmt.Sprintf("WillNotOverflowUnsignedSub(%s, %s, *I)", valueArg(0), valueArg(1))
-	case "WillNotOverflowSignedMul":
-		if allConst {
-			// Precise on constants: probe the overflow flag of APInt's
-			// checked multiply.
-			x, y := g.apintParen(q.Args[0]), g.apintExpr(q.Args[1])
-			return fmt.Sprintf("[&] { bool Ov; %s.smul_ov(%s, Ov); return !Ov; }()", x, y)
-		}
-		return fmt.Sprintf("WillNotOverflowSignedMul(%s, %s, *I)", valueArg(0), valueArg(1))
 	case "hasOneUse", "OneUse":
 		return valueArg(0) + "->hasOneUse()"
 	}
 	g.fail("unknown predicate %q", q.FName)
 	return "false"
-}
-
-func joinWith(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
 }

@@ -10,66 +10,58 @@ import (
 // CompiledTransform is an Alive transformation compiled into a native
 // matcher-and-rewriter over mini-IR — the executable counterpart of the
 // C++ that Section 4's generator emits, used to measure firing counts
-// (Figure 9) and pass cost (Section 6.4).
+// (Figure 9) and pass cost (Section 6.4). It executes the match plan
+// codegen prints.
 type CompiledTransform struct {
-	Name   string
-	t      *ir.Transform
-	rootOp Op
-	root   ir.Instr
+	Name string
+	t    *ir.Transform
+	plan *ir.MatchPlan
+	ops  []Op // ops[i] is the opcode plan.Steps[i] matches
 }
 
 // Compile prepares a transformation for application. Transformations
 // whose source contains undef or memory operations are not matchable in
 // this IR and are rejected.
 func Compile(t *ir.Transform) (*CompiledTransform, error) {
-	root := t.SourceValue(t.Root)
-	if root == nil {
-		return nil, fmt.Errorf("%s: no value root", t.Name)
-	}
-	for _, in := range t.Source {
-		switch in.(type) {
-		case *ir.Alloca, *ir.Load, *ir.Store, *ir.GEP, *ir.Unreachable:
-			return nil, fmt.Errorf("%s: memory operations are not matchable in mini-IR", t.Name)
-		}
-		for _, op := range ir.Operands(in) {
-			var bad error
-			ir.WalkValues(op, func(v ir.Value) {
-				if _, isU := v.(*ir.UndefValue); isU {
-					bad = fmt.Errorf("%s: undef in source template is not matchable", t.Name)
-				}
-			})
-			if bad != nil {
-				return nil, bad
-			}
-		}
-	}
-	op, err := rootOpcode(root)
+	plan, err := ir.CompileMatch(t)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", t.Name, err)
 	}
-	return &CompiledTransform{Name: t.Name, t: t, rootOp: op, root: root}, nil
+	ct := &CompiledTransform{Name: t.Name, t: t, plan: plan, ops: make([]Op, len(plan.Steps))}
+	for i, s := range plan.Steps {
+		var ok bool
+		if ct.ops[i], ok = opFor(s.In); !ok {
+			return nil, fmt.Errorf("%s: %s is not matchable in mini-IR", t.Name, s.In)
+		}
+		for _, a := range s.Args {
+			if a.Kind == ir.ArgUndef {
+				return nil, fmt.Errorf("%s: undef in source template is not matchable", t.Name)
+			}
+		}
+	}
+	return ct, nil
 }
 
-func rootOpcode(in ir.Instr) (Op, error) {
+// opFor returns the opcode of a template instruction, if mini-IR has it.
+func opFor(in ir.Instr) (Op, bool) {
 	switch in := in.(type) {
 	case *ir.BinOp:
-		return BinOpFor(in.Op), nil
+		return BinOpFor(in.Op), true
 	case *ir.ICmp:
-		return OpICmp, nil
+		return OpICmp, true
 	case *ir.Select:
-		return OpSelect, nil
+		return OpSelect, true
 	case *ir.Conv:
 		switch in.Kind {
 		case ir.ZExt:
-			return OpZExt, nil
+			return OpZExt, true
 		case ir.SExt:
-			return OpSExt, nil
+			return OpSExt, true
 		case ir.Trunc:
-			return OpTrunc, nil
+			return OpTrunc, true
 		}
-		return 0, fmt.Errorf("conversion %s is not matchable", in.Kind)
 	}
-	return 0, fmt.Errorf("%T roots are not matchable", in)
+	return 0, false
 }
 
 // binding is a template value and the instruction bound to it. An
@@ -122,11 +114,10 @@ type bindings struct {
 	uses  map[*Instr]int
 }
 
-// match attempts to match the source template rooted at in, binding
-// into b.
+// match attempts to match ct's plan at in, binding into b.
 func (ct *CompiledTransform) match(b *bindings, in *Instr) bool {
 	b.vals = b.vals[:0]
-	return b.matchValue(ct.root, in) && ir.EvalPred(ct.t.Pre, b) == ir.True
+	return b.matchStep(ct, 0, in) && ir.EvalPred(ct.plan.Pre, b) == ir.True
 }
 
 // startScan binds f and forgets the analyses of the previous scan.
@@ -146,107 +137,49 @@ func (b *bindings) useCount(in *Instr) int {
 	return b.uses[in]
 }
 
-// typeFits reports whether a concrete value of the given width may
-// stand where the template wrote type t: any width when no type was
-// written, else exactly the written integer width. A transform written
-// at i1 is only verified at i1.
-func typeFits(t ir.Type, width int) bool {
-	if t == nil {
-		return true
+// matchStep matches step i of ct's plan against cv, matching the step of
+// an instruction operand where the plan first meets it, and then binds
+// the step's instruction to cv.
+func (b *bindings) matchStep(ct *CompiledTransform, i int, cv *Instr) bool {
+	s := &ct.plan.Steps[i]
+	if cv.Op != ct.ops[i] || cv.Flags&s.Flags != s.Flags || cv.Op == OpICmp && cv.Cond != s.Cond ||
+		s.Width != 0 && cv.Width != s.Width || s.ArgWidth != 0 && cv.Args[0].Width != s.ArgWidth {
+		return false
 	}
-	it, ok := t.(ir.IntType)
-	return ok && it.Bits == width
-}
-
-// matchValue matches a template value against a concrete instruction.
-func (b *bindings) matchValue(tv ir.Value, cv *Instr) bool {
-	if prev, ok := b.vals.get(tv); ok {
-		// Repeated template value: must be the same concrete value.
-		// Abstract constants compare by value (distinct constant
-		// instructions may hold equal values); everything else by
-		// identity.
-		if _, isConst := tv.(*ir.AbstractConst); !isConst {
-			return prev == cv
+	for j := range s.Args {
+		a, arg := &s.Args[j], cv.Args[j]
+		_, isConst := a.V.(*ir.AbstractConst)
+		switch a.Kind {
+		case ir.ArgBind:
+			if isConst && arg.Op != OpConst || a.Width != 0 && arg.Width != a.Width {
+				return false
+			}
+			b.vals.set(a.V, arg)
+		case ir.ArgSame:
+			// Distinct constant instructions may hold equal values.
+			prev, _ := b.vals.get(a.V)
+			if prev != arg && (!isConst || arg.Op != OpConst || prev.Width != arg.Width || !prev.Const.Eq(arg.Const)) {
+				return false
+			}
+		case ir.ArgLiteral:
+			if arg.Op != OpConst || !eqInt(arg.Const, a.V.(*ir.Literal).V) {
+				return false
+			}
+		case ir.ArgConst:
+			if arg.Op != OpConst {
+				return false
+			}
+			if want, ok := ir.EvalConst(a.V, arg.Width, b); !ok || !want.Eq(arg.Const) {
+				return false
+			}
+		case ir.ArgInstr:
+			if !b.matchStep(ct, a.Step, arg) {
+				return false
+			}
 		}
 	}
-	switch tv := tv.(type) {
-	case *ir.Input:
-		if !typeFits(tv.DeclaredType, cv.Width) {
-			return false
-		}
-		b.vals.set(tv, cv)
-		return true
-	case *ir.AbstractConst:
-		c, ok := constOf(cv)
-		if !ok || !typeFits(tv.DeclaredType, cv.Width) {
-			return false
-		}
-		if prev, bound := b.vals.get(tv); bound {
-			return prev.Width == cv.Width && prev.Const.Eq(c)
-		}
-		b.vals.set(tv, cv)
-		return true
-	case *ir.Literal:
-		c, ok := constOf(cv)
-		return ok && eqInt(c, tv.V)
-	case *ir.BinOp:
-		if cv.Op != BinOpFor(tv.Op) || cv.Flags&tv.Flags != tv.Flags || !typeFits(tv.DeclaredType, cv.Width) {
-			return false
-		}
-		if !b.matchValue(tv.X, cv.Args[0]) || !b.matchValue(tv.Y, cv.Args[1]) {
-			return false
-		}
-		b.vals.set(tv, cv)
-		return true
-	case *ir.ICmp:
-		if cv.Op != OpICmp || cv.Cond != tv.Cond || !typeFits(tv.DeclaredType, cv.Args[0].Width) {
-			return false
-		}
-		if !b.matchValue(tv.X, cv.Args[0]) || !b.matchValue(tv.Y, cv.Args[1]) {
-			return false
-		}
-		b.vals.set(tv, cv)
-		return true
-	case *ir.Select:
-		if cv.Op != OpSelect || !typeFits(tv.DeclaredType, cv.Width) {
-			return false
-		}
-		if !b.matchValue(tv.Cond, cv.Args[0]) || !b.matchValue(tv.TrueV, cv.Args[1]) || !b.matchValue(tv.FalseV, cv.Args[2]) {
-			return false
-		}
-		b.vals.set(tv, cv)
-		return true
-	case *ir.Conv:
-		var want Op
-		switch tv.Kind {
-		case ir.ZExt:
-			want = OpZExt
-		case ir.SExt:
-			want = OpSExt
-		case ir.Trunc:
-			want = OpTrunc
-		default:
-			return false
-		}
-		if cv.Op != want || !typeFits(tv.FromType, cv.Args[0].Width) || !typeFits(tv.ToType, cv.Width) ||
-			!b.matchValue(tv.X, cv.Args[0]) {
-			return false
-		}
-		b.vals.set(tv, cv)
-		return true
-	case *ir.Copy:
-		return b.matchValue(tv.X, cv)
-	case *ir.ConstUnExpr, *ir.ConstBinExpr, *ir.ConstFunc:
-		// A constant expression in operand position matches a concrete
-		// constant with the computed value.
-		c, ok := constOf(cv)
-		if !ok {
-			return false
-		}
-		want, ok := ir.EvalConst(tv, c.Width(), b)
-		return ok && want.Eq(c)
-	}
-	return false
+	b.vals.set(s.In, cv)
+	return true
 }
 
 // eqInt reports whether c holds the two's-complement encoding of v, as
@@ -320,7 +253,7 @@ func (ct *CompiledTransform) apply(b *bindings, rootIn *Instr) bool {
 	var newRoot *Instr
 	for _, tin := range ct.t.Target {
 		width := rootIn.Width
-		if prev, ok := b.vals.get(correspondingSource(ct.t, tin.Name())); ok && tin.Name() != "" {
+		if prev, ok := b.vals.get(ct.t.SourceValue(tin.Name())); ok && tin.Name() != "" {
 			width = prev.Width
 		}
 		built, ok := b.build(tin, width)
@@ -330,7 +263,7 @@ func (ct *CompiledTransform) apply(b *bindings, rootIn *Instr) bool {
 		if tin.Name() != "" {
 			// Later target instructions referring to this name must see
 			// the new definition: rebind the *source* node of that name.
-			if srcNode := ct.t.SourceValue(tin.Name()); srcNode != nil && srcNode != ct.root {
+			if srcNode := ct.t.SourceValue(tin.Name()); srcNode != nil && srcNode != ct.plan.Steps[0].In {
 				b.vals.set(srcNode, built)
 			}
 			if tin.Name() == ct.t.Root {
@@ -405,15 +338,8 @@ func (b *bindings) build(v ir.Value, width int) (*Instr, bool) {
 		if !ok {
 			return nil, false
 		}
-		var op Op
-		switch v.Kind {
-		case ir.ZExt:
-			op = OpZExt
-		case ir.SExt:
-			op = OpSExt
-		case ir.Trunc:
-			op = OpTrunc
-		default:
+		op, ok := opFor(v)
+		if !ok {
 			return nil, false
 		}
 		if to, ok := v.ToType.(ir.IntType); ok {
@@ -428,16 +354,6 @@ func (b *bindings) build(v ir.Value, width int) (*Instr, bool) {
 	}
 	b.created = append(b.created, in)
 	return in, true
-}
-
-func correspondingSource(t *ir.Transform, name string) ir.Value {
-	if name == "" {
-		return nil
-	}
-	if in := t.SourceValue(name); in != nil {
-		return in
-	}
-	return nil
 }
 
 // Pass applies a set of compiled transformations to modules, counting
@@ -457,7 +373,7 @@ func NewPass(ts []*CompiledTransform) *Pass {
 		b: bindings{known: map[*Instr]KnownBits{}, uses: map[*Instr]int{}},
 	}
 	for _, ct := range ts {
-		p.byOp[ct.rootOp] = append(p.byOp[ct.rootOp], ct)
+		p.byOp[ct.ops[0]] = append(p.byOp[ct.ops[0]], ct)
 	}
 	return p
 }
