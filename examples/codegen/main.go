@@ -1,8 +1,9 @@
 // Codegen: verify a transformation, then emit the InstCombine-style C++
 // of the paper's Section 4 (compare with Figure 7), plus a complete pass
 // file for a small set of optimizations. It exits 1 when Figure 7's body
-// lacks its two match clauses or its isSignMask precondition, or when the
-// pass skips a transformation.
+// lacks its two match clauses or its isSignMask precondition, when the
+// pass skips a transformation, or when a select's constant arm does not
+// have the other arm's type.
 package main
 
 import (
@@ -69,12 +70,24 @@ Name: demorgan-and
 =>
 %o = or %x, %y
 %r = xor %o, -1
+
+Name: AndOrXor:and-sext-bool-to-select
+%s = sext i1 %b to i8
+%r = and %s, %x
+=>
+%r = select %b, i8 %x, 0
 `)
 	if err != nil {
 		log.Fatal(err)
 	}
 	pass, skipped := alive.GenerateCppPass("AliveGenerated", ts)
 	fmt.Println(pass)
+	// The 0 arm takes the type of %x; the i1 condition's would make
+	// SelectInst reject the two arms.
+	if arm := `SelectInst::Create(b, x, ConstantInt::get(x->getType(), 0), "", I);`; !strings.Contains(pass, arm) {
+		fmt.Fprintf(os.Stderr, "codegen: the select of and-sext-bool-to-select is not %s\n", arm)
+		unexpected++
+	}
 	for _, s := range skipped {
 		fmt.Fprintln(os.Stderr, "codegen: skipped", s)
 		unexpected++

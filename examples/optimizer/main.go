@@ -45,7 +45,7 @@ func main() {
 		}
 		ct, err := miniir.Compile(e.Parse())
 		if err != nil {
-			continue // memory/undef patterns have no mini-IR matcher
+			continue // memory/undef patterns, and those reading a value the match does not bind
 		}
 		cts = append(cts, ct)
 	}

@@ -272,7 +272,7 @@ func compiledCorpus() []*miniir.CompiledTransform {
 		}
 		ct, err := miniir.Compile(e.Parse())
 		if err != nil {
-			continue // memory/undef patterns are not matchable in mini-IR
+			continue // memory/undef patterns, and those reading a value the match does not bind
 		}
 		out = append(out, ct)
 	}

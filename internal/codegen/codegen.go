@@ -3,9 +3,10 @@
 // a conjunction of pattern-match clauses using LLVM's m_* matcher library
 // plus the precondition, followed by construction of the target template
 // and root replacement. The generator follows the paper's structure: one
-// match() clause per step of the source template's match plan
-// (ir.CompileMatch), APInt arithmetic for constant expressions, and the
-// types of matched values for created constants.
+// match() clause per match step of the transformation's plan
+// (ir.CompilePlan), APInt arithmetic for constant expressions, and one
+// construction per build step, in which created constants take the
+// types of matched or built values.
 package codegen
 
 import (
@@ -16,18 +17,18 @@ import (
 )
 
 // Generate emits the C++ body (an if-statement, Figure 7) for one
-// transformation: the clauses of its match plan, the precondition, and
+// transformation: the clauses of its match steps, the precondition, and
 // the construction of the target. It fails for templates the plan
 // rejects, such as memory operations other than load.
 func Generate(t *ir.Transform) (string, error) {
-	plan, err := ir.CompileMatch(t)
+	plan, err := ir.CompilePlan(t)
 	if err != nil {
 		return "", fmt.Errorf("codegen: %w", err)
 	}
 	g := &generator{
 		t:        t,
-		plan:     plan,
-		names:    map[ir.Value]string{plan.Steps[0].In: "I"},
+		plan:     &plan,
+		names:    map[ir.Value]string{plan.Match[0].In: "I"},
 		declared: map[string]string{}, // name -> C++ type
 	}
 	return g.run()
@@ -35,7 +36,7 @@ func Generate(t *ir.Transform) (string, error) {
 
 type generator struct {
 	t    *ir.Transform
-	plan *ir.MatchPlan
+	plan *ir.Plan
 
 	names     map[ir.Value]string
 	declared  map[string]string
@@ -46,7 +47,10 @@ type generator struct {
 	predCount int
 	cstCount  int
 	exprCount int
-	err       error
+	// bits renders the width of the operand a constant expression being
+	// printed sits in, the width its zext, sext and trunc convert to.
+	bits string
+	err  error
 }
 
 func (g *generator) fail(format string, args ...any) {
@@ -80,7 +84,7 @@ func (g *generator) declare(name, typ string) {
 }
 
 func (g *generator) run() (string, error) {
-	// Phase 1: the match plan, from the root.
+	// Phase 1: the match steps, from the root.
 	g.matchStep(0)
 
 	// Phase 2: the precondition.
@@ -91,7 +95,7 @@ func (g *generator) run() (string, error) {
 	}
 
 	// Phase 3: build the target.
-	g.buildTarget()
+	g.build()
 
 	if g.err != nil {
 		return "", g.err
@@ -141,7 +145,7 @@ func (g *generator) run() (string, error) {
 // the steps of the instructions it reaches first and the checks of its
 // constant-expression operands, in the order the plan matches them.
 func (g *generator) matchStep(i int) {
-	s := &g.plan.Steps[i]
+	s := &g.plan.Match[i]
 	holder := g.names[s.In]
 	args := make([]string, len(s.Args))
 	for j, a := range s.Args {
@@ -168,12 +172,9 @@ func (g *generator) matchStep(i int) {
 	if pred != "" {
 		g.clauses = append(g.clauses, pred)
 	}
-	for _, f := range []struct {
-		flag  ir.Flags
-		check string
-	}{{ir.NSW, "hasNoSignedWrap()"}, {ir.NUW, "hasNoUnsignedWrap()"}, {ir.Exact, "isExact()"}} {
+	for _, f := range flagMethods {
 		if s.Flags&f.flag != 0 {
-			g.clauses = append(g.clauses, fmt.Sprintf("cast<BinaryOperator>(%s)->%s", holder, f.check))
+			g.clauses = append(g.clauses, fmt.Sprintf("cast<BinaryOperator>(%s)->%s()", holder, f.has))
 		}
 	}
 	g.widthCheck(holder, s.Width)
@@ -185,7 +186,9 @@ func (g *generator) matchStep(i int) {
 		case ir.ArgInstr:
 			g.matchStep(a.Step)
 		case ir.ArgConst:
+			g.bits = g.names[a.V] + "->getType()->getScalarSizeInBits()"
 			g.clauses = append(g.clauses, fmt.Sprintf("%s->getValue() == %s", g.names[a.V], g.apintExpr(a.V)))
+			g.bits = ""
 		}
 	}
 }
@@ -194,7 +197,7 @@ func (g *generator) matchStep(i int) {
 // first match() clause that names it and compared by later ones; a
 // constant expression binds a constant of its own, which a later clause
 // compares with the expression's value.
-func (g *generator) operand(a ir.MatchArg) string {
+func (g *generator) operand(a ir.Arg) string {
 	switch a.Kind {
 	case ir.ArgLiteral:
 		switch v := a.V.(*ir.Literal); {
@@ -235,6 +238,17 @@ func (g *generator) widthCheck(v string, w int) {
 	if w != 0 {
 		g.clauses = append(g.clauses, fmt.Sprintf("%s->getType()->isIntegerTy(%d)", v, w))
 	}
+}
+
+// flagMethods are the BinaryOperator methods that read and set each
+// attribute.
+var flagMethods = []struct {
+	flag     ir.Flags
+	has, set string
+}{
+	{ir.NSW, "hasNoSignedWrap", "setHasNoSignedWrap"},
+	{ir.NUW, "hasNoUnsignedWrap", "setHasNoUnsignedWrap"},
+	{ir.Exact, "isExact", "setIsExact"},
 }
 
 // binOpNames and convNames spell the binary operators and conversions as

@@ -143,6 +143,19 @@ Pre: isPowerOf2(C1)
 		"logBase2()",
 		"BinaryOperator::CreateShl(",
 	)
+	// trunc(C) converts to the width of the operand it sits in, %x's
+	// i8, not to the i16 of I.
+	out = gen(t, `
+%z = zext %x to i16
+%r = and %z, C
+=>
+%a = and %x, trunc(C)
+%r = zext %a to i16
+`)
+	mustContain(t, out,
+		"APInt C1_new_val = C->getValue().trunc(x->getType()->getScalarSizeInBits());",
+		"Constant *C1_new = ConstantInt::get(x->getType(), C1_new_val);",
+	)
 }
 
 func TestPreconditionOperators(t *testing.T) {
@@ -337,13 +350,25 @@ func TestNegatedConstExpr(t *testing.T) {
 	mustContain(t, out, "-C->getValue()")
 }
 
-func TestUndefTarget(t *testing.T) {
+func TestLiteralRootTarget(t *testing.T) {
 	out := gen(t, `
 %r = xor %x, %x
 =>
 %r = 0
 `)
-	mustContain(t, out, "ConstantInt::get(I->getType(), 0)")
+	mustContain(t, out, "I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));")
+}
+
+// TestUndefTarget: an undef select arm has the other arm's type.
+func TestUndefTarget(t *testing.T) {
+	out := gen(t, `
+Pre: C u>= width(%x)
+%s = shl %x, C
+%r = select %c, %s, %y
+=>
+%r = select %c, undef, %y
+`)
+	mustContain(t, out, "SelectInst::Create(c, UndefValue::get(y->getType()), y, \"\", I);")
 }
 
 func TestWillNotOverflowPredicates(t *testing.T) {

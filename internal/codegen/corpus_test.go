@@ -71,15 +71,16 @@ func TestGeneratedPassCompiles(t *testing.T) {
 	}
 }
 
-// TestCorpusMatchPlans checks the match clauses of the corpus pass: the
+// TestCorpusMatchPlans checks the plans of the corpus pass: the
 // transforms it skips, the width checks of every written source type,
-// and constant-expression operands; and that a source instruction the
-// root does not reach, which no clause would check, is rejected.
+// constant-expression operands, and the types of constant select arms;
+// and that a source instruction the root does not reach, which no
+// clause would check, is rejected.
 func TestCorpusMatchPlans(t *testing.T) {
 	ts := corpus(t)
 	_, skipped := GeneratePass("AliveCorpus", ts)
 	// Memory instructions other than load have no matcher, nor have
-	// constant expressions over constants the source never binds.
+	// constant expressions over constants the match has not bound.
 	wantSkipped := []string{
 		"LoadStoreAlloca:store-to-load-forwarding", "LoadStoreAlloca:load-after-two-stores",
 		"LoadStoreAlloca:forward-through-input-pointer", "LoadStoreAlloca:dead-store-elimination",
@@ -142,6 +143,10 @@ func TestCorpusMatchPlans(t *testing.T) {
 			"CE0->getValue() == ~C->getValue()",
 		},
 		"AndOrXor:masked-or-partition": {"CE0->getValue() == ~C->getValue()"},
+		// A constant arm has the other arm's type, not the i1 condition's.
+		"AndOrXor:and-sext-bool-to-select": {`SelectInst::Create(b, x, ConstantInt::get(x->getType(), 0), "", I);`},
+		"AndOrXor:or-sext-bool-to-select":  {`SelectInst::Create(b, ConstantInt::get(x->getType(), -1), x, "", I);`},
+		"Select:add-into-arm":              {`SelectInst::Create(c, C, ConstantInt::get(C->getType(), 0), "", I);`},
 		"AndOrXor:and-sign-mask-of-ashr": {
 			"match(s, m_AShr(m_Value(x), m_ConstantInt(CE0)))",
 			"CE0->getValue() == APInt(x->getType()->getScalarSizeInBits(), x->getType()->getScalarSizeInBits()) - 1",

@@ -7,84 +7,37 @@ import (
 	"alive/internal/ir"
 )
 
-// buildTarget emits the body: constant materialization, new instructions
-// bottom-up (textual order is already topological in SSA), and the root
-// replacement.
-func (g *generator) buildTarget() {
-	rootTgt := g.t.TargetValue(g.t.Root)
-	for _, in := range g.t.Target {
-		switch in := in.(type) {
-		case *ir.Copy:
-			if in.VName == g.t.Root {
-				val := g.cppValue(in.X, "I->getType()")
-				g.body = append(g.body, fmt.Sprintf("I->replaceAllUsesWith(%s);", val))
-			} else {
-				// A named alias: bind a local.
-				name := cppName(in.VName)
-				g.names[in] = name
-				g.body = append(g.body, fmt.Sprintf("Value *%s = %s;", name, g.cppValue(in.X, "I->getType()")))
-			}
+// build emits the body: the plan's build steps in order, each after the
+// constants it creates, then the replacement of the root.
+func (g *generator) build() {
+	for i := range g.plan.Build {
+		s := &g.plan.Build[i]
+		args := make([]string, len(s.Args))
+		for j, a := range s.Args {
+			args[j] = g.value(a, s.Like)
+		}
+		name := g.defineName(s.In)
+		switch in := s.In.(type) {
 		case *ir.BinOp:
-			g.buildBinOp(in)
+			g.emit("BinaryOperator *%s = BinaryOperator::Create%s(%s, %s, \"\", I);", name, binOpNames[in.Op], args[0], args[1])
+			for _, f := range flagMethods {
+				if s.Flags&f.flag != 0 {
+					g.emit("%s->%s(true);", name, f.set)
+				}
+			}
 		case *ir.ICmp:
-			g.buildICmp(in)
+			g.emit("ICmpInst *%s = new ICmpInst(I, ICmpInst::%s, %s, %s);", name, cppPredicate(s.Cond), args[0], args[1])
 		case *ir.Select:
-			g.buildSelect(in)
+			g.emit("SelectInst *%s = SelectInst::Create(%s, %s, %s, \"\", I);", name, args[0], args[1], args[2])
 		case *ir.Conv:
-			g.buildConv(in)
-		default:
-			g.fail("cannot construct %T in target", in)
-			return
+			g.emit("CastInst *%s = CastInst::Create(Instruction::%s, %s, %s, \"\", I);", name, convNames[in.Kind], args[0], g.typeOf(s.Width, s.Like))
 		}
 	}
-	if _, isCopy := rootTgt.(*ir.Copy); !isCopy && rootTgt != nil {
-		g.body = append(g.body, fmt.Sprintf("I->replaceAllUsesWith(%s);", g.names[rootTgt.(ir.Value)]))
-	}
+	g.emit("I->replaceAllUsesWith(%s);", g.value(g.plan.Root, g.plan.Match[0].In))
 }
 
-func (g *generator) buildBinOp(in *ir.BinOp) {
-	name := g.defineName(in)
-	ty := g.operandTypeHint(in)
-	x := g.cppValue(in.X, ty)
-	y := g.cppValue(in.Y, ty)
-	g.body = append(g.body, fmt.Sprintf("BinaryOperator *%s = BinaryOperator::Create%s(%s, %s, \"\", I);",
-		name, binOpNames[in.Op], x, y))
-	if in.Flags&ir.NSW != 0 {
-		g.body = append(g.body, fmt.Sprintf("%s->setHasNoSignedWrap(true);", name))
-	}
-	if in.Flags&ir.NUW != 0 {
-		g.body = append(g.body, fmt.Sprintf("%s->setHasNoUnsignedWrap(true);", name))
-	}
-	if in.Flags&ir.Exact != 0 {
-		g.body = append(g.body, fmt.Sprintf("%s->setIsExact(true);", name))
-	}
-}
-
-func (g *generator) buildICmp(in *ir.ICmp) {
-	name := g.defineName(in)
-	ty := g.operandTypeHint(in)
-	g.body = append(g.body, fmt.Sprintf("ICmpInst *%s = new ICmpInst(I, ICmpInst::%s, %s, %s);",
-		name, cppPredicate(in.Cond), g.cppValue(in.X, ty), g.cppValue(in.Y, ty)))
-}
-
-func (g *generator) buildSelect(in *ir.Select) {
-	name := g.defineName(in)
-	ty := g.operandTypeHint(in)
-	g.body = append(g.body, fmt.Sprintf("SelectInst *%s = SelectInst::Create(%s, %s, %s, \"\", I);",
-		name, g.cppValue(in.Cond, "Type::getInt1Ty(I->getContext())"),
-		g.cppValue(in.TrueV, ty), g.cppValue(in.FalseV, ty)))
-}
-
-func (g *generator) buildConv(in *ir.Conv) {
-	name := g.defineName(in)
-	destTy := "I->getType()"
-	if in.ToType != nil {
-		if it, ok := in.ToType.(ir.IntType); ok {
-			destTy = fmt.Sprintf("Type::getIntNTy(I->getContext(), %d)", it.Bits)
-		}
-	}
-	g.body = append(g.body, fmt.Sprintf("CastInst *%s = CastInst::Create(Instruction::%s, %s, %s, \"\", I);",
-		name, convNames[in.Kind], g.cppValue(in.X, "I->getType()"), destTy))
+func (g *generator) emit(format string, args ...any) {
+	g.body = append(g.body, fmt.Sprintf(format, args...))
 }
 
 func (g *generator) defineName(in ir.Instr) string {
@@ -101,64 +54,52 @@ func (g *generator) defineName(in ir.Instr) string {
 	return name
 }
 
-// operandTypeHint picks a C++ expression for the type of an
-// instruction's operands: an operand already bound from the source if
-// any, else the root type.
-func (g *generator) operandTypeHint(in ir.Instr) string {
-	for _, opnd := range ir.Operands(in) {
-		if name, ok := g.names[opnd]; ok && name != "" {
-			switch opnd.(type) {
-			case *ir.Input, ir.Instr:
-				return name + "->getType()"
-			case *ir.AbstractConst:
-				return name + "->getType()"
-			}
-		}
+// typeOf renders the type of a value bits wide, or if bits is 0 of the
+// type of the value like.
+func (g *generator) typeOf(bits int, like ir.Value) string {
+	if bits != 0 {
+		return fmt.Sprintf("Type::getIntNTy(I->getContext(), %d)", bits)
 	}
-	return "I->getType()"
+	return g.names[like] + "->getType()"
 }
 
-// cppValue renders an operand reference in the target body, materializing
-// constant expressions as APInt computations (paper: "Constant
-// expressions translate to APInt or Constant values").
-func (g *generator) cppValue(v ir.Value, typeHint string) string {
-	if name, ok := g.names[v]; ok {
-		return name
+// value renders an operand of a build step, or the root's replacement.
+// A value the rewrite creates has the type of like unless a fixes its
+// width, and a constant expression is materialized as an APInt
+// computation first (paper: "Constant expressions translate to APInt or
+// Constant values").
+func (g *generator) value(a ir.Arg, like ir.Value) string {
+	if !a.Created() {
+		return g.names[a.V]
 	}
-	switch v := v.(type) {
+	ty := g.typeOf(a.Width, like)
+	switch v := a.V.(type) {
 	case *ir.Literal:
-		if v.Bool {
-			if v.V != 0 {
-				return "ConstantInt::getTrue(I->getContext())"
-			}
-			return "ConstantInt::getFalse(I->getContext())"
+		switch {
+		case !v.Bool:
+			return fmt.Sprintf("ConstantInt::get(%s, %d)", ty, v.V)
+		case v.V != 0:
+			return "ConstantInt::getTrue(I->getContext())"
 		}
-		return fmt.Sprintf("ConstantInt::get(%s, %d)", typeHint, v.V)
+		return "ConstantInt::getFalse(I->getContext())"
 	case *ir.UndefValue:
-		return fmt.Sprintf("UndefValue::get(%s)", typeHint)
-	case *ir.ConstUnExpr, *ir.ConstBinExpr, *ir.ConstFunc:
-		// Materialize a fresh constant, as C3 in Figure 7.
-		g.cstCount++
-		name := fmt.Sprintf("C%d_new", g.cstCount)
-		g.body = append(g.body,
-			fmt.Sprintf("APInt %s_val = %s;", name, g.apintExpr(v)),
-			fmt.Sprintf("Constant *%s = ConstantInt::get(%s, %s_val);", name, typeHint, name))
-		g.names[v] = name
-		return name
+		return fmt.Sprintf("UndefValue::get(%s)", ty)
 	}
-	g.fail("cannot reference %s in target", v)
-	return ""
+	// As C3 in Figure 7. Its conversions convert to its own width.
+	g.bits = ty + "->getScalarSizeInBits()"
+	g.cstCount++
+	name := fmt.Sprintf("C%d_new", g.cstCount)
+	g.emit("APInt %s_val = %s;", name, g.apintExpr(a.V))
+	g.emit("Constant *%s = ConstantInt::get(%s, %s_val);", name, ty, name)
+	g.bits = ""
+	return name
 }
 
 // apintExpr renders a constant expression over APInt values.
 func (g *generator) apintExpr(v ir.Value) string {
 	switch v := v.(type) {
 	case *ir.AbstractConst:
-		if name, ok := g.names[v]; ok {
-			return name + "->getValue()"
-		}
-		g.fail("constant %s is not bound by the source pattern", v.CName)
-		return ""
+		return g.names[v] + "->getValue()"
 	case *ir.Literal:
 		return fmt.Sprintf("%d", v.V)
 	case *ir.ConstUnExpr:
@@ -236,12 +177,11 @@ func (g *generator) apintFunc(v *ir.ConstFunc) string {
 		return fmt.Sprintf("APInt(%s.getBitWidth(), %s.countTrailingZeros())", arg(0), arg(0))
 	case "ctlz", "countLeadingZeros":
 		return fmt.Sprintf("APInt(%s.getBitWidth(), %s.countLeadingZeros())", arg(0), arg(0))
-	case "zext":
-		return arg(0) + ".zext(I->getType()->getScalarSizeInBits())"
-	case "sext":
-		return arg(0) + ".sext(I->getType()->getScalarSizeInBits())"
-	case "trunc":
-		return arg(0) + ".trunc(I->getType()->getScalarSizeInBits())"
+	case "zext", "sext", "trunc":
+		if g.bits == "" {
+			g.fail("%s has no operand to take its width from", v)
+		}
+		return fmt.Sprintf("%s.%s(%s)", arg(0), v.FName, g.bits)
 	}
 	g.fail("unknown constant function %q", v.FName)
 	return ""

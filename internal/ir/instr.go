@@ -330,31 +330,34 @@ func (v *Copy) Name() string   { return v.VName }
 func (v *Copy) String() string { return v.VName + " = " + refName(v.X) }
 
 // Operands returns the operand values of an instruction in order.
-func Operands(in Instr) []Value {
+func Operands(in Instr) []Value { return AppendOperands(nil, in) }
+
+// AppendOperands appends the operand values of an instruction to dst.
+func AppendOperands(dst []Value, in Instr) []Value {
 	switch i := in.(type) {
 	case *BinOp:
-		return []Value{i.X, i.Y}
+		return append(dst, i.X, i.Y)
 	case *ICmp:
-		return []Value{i.X, i.Y}
+		return append(dst, i.X, i.Y)
 	case *Select:
-		return []Value{i.Cond, i.TrueV, i.FalseV}
+		return append(dst, i.Cond, i.TrueV, i.FalseV)
 	case *Conv:
-		return []Value{i.X}
+		return append(dst, i.X)
 	case *Alloca:
 		if i.NumElems != nil {
-			return []Value{i.NumElems}
+			return append(dst, i.NumElems)
 		}
-		return nil
+		return dst
 	case *GEP:
-		return append([]Value{i.Ptr}, i.Indexes...)
+		return append(append(dst, i.Ptr), i.Indexes...)
 	case *Load:
-		return []Value{i.Ptr}
+		return append(dst, i.Ptr)
 	case *Store:
-		return []Value{i.Val, i.Ptr}
+		return append(dst, i.Val, i.Ptr)
 	case *Unreachable:
-		return nil
+		return dst
 	case *Copy:
-		return []Value{i.X}
+		return append(dst, i.X)
 	}
 	panic(fmt.Sprintf("ir: unknown instruction %T", in))
 }

@@ -137,7 +137,8 @@ func WalkValues(v Value, visit func(Value)) {
 				rec(a)
 			}
 		case Instr:
-			for _, op := range Operands(n) {
+			var buf [3]Value
+			for _, op := range AppendOperands(buf[:0], n) {
 				rec(op)
 			}
 		}
@@ -224,8 +225,9 @@ func (t *Transform) Validate() error {
 	// Source temporaries must be used later in the source or overwritten
 	// in the target.
 	used := map[string]bool{}
+	var buf [3]Value
 	for _, in := range t.Source {
-		for _, op := range Operands(in) {
+		for _, op := range AppendOperands(buf[:0], in) {
 			WalkValues(op, func(u Value) {
 				if n := u.Name(); n != "" {
 					used[n] = true
@@ -247,7 +249,7 @@ func (t *Transform) Validate() error {
 	// overwrite a source register.
 	tgtUsed := map[string]bool{}
 	for _, in := range t.Target {
-		for _, op := range Operands(in) {
+		for _, op := range AppendOperands(buf[:0], in) {
 			WalkValues(op, func(u Value) {
 				if n := u.Name(); n != "" {
 					tgtUsed[n] = true

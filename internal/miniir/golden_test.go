@@ -23,8 +23,8 @@ func corpusTransforms(tb testing.TB) []*CompiledTransform {
 			cts = append(cts, ct)
 		}
 	}
-	if len(cts) != 221 {
-		tb.Fatalf("compiled %d corpus transforms, want 221", len(cts))
+	if len(cts) != 219 {
+		tb.Fatalf("compiled %d corpus transforms, want 219", len(cts))
 	}
 	return cts
 }

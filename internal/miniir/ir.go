@@ -58,41 +58,7 @@ var opNames = map[Op]string{
 
 func (o Op) String() string { return opNames[o] }
 
-// BinOpFor converts an Alive binary operator to a mini-IR opcode.
-func BinOpFor(k ir.BinOpKind) Op {
-	switch k {
-	case ir.Add:
-		return OpAdd
-	case ir.Sub:
-		return OpSub
-	case ir.Mul:
-		return OpMul
-	case ir.UDiv:
-		return OpUDiv
-	case ir.SDiv:
-		return OpSDiv
-	case ir.URem:
-		return OpURem
-	case ir.SRem:
-		return OpSRem
-	case ir.Shl:
-		return OpShl
-	case ir.LShr:
-		return OpLShr
-	case ir.AShr:
-		return OpAShr
-	case ir.And:
-		return OpAnd
-	case ir.Or:
-		return OpOr
-	case ir.Xor:
-		return OpXor
-	}
-	panic("miniir: not a binary operator")
-}
-
-// binOpKinds maps each binary opcode to its Alive operator, inverting
-// BinOpFor.
+// binOpKinds maps each binary opcode to its Alive operator.
 var binOpKinds = [...]ir.BinOpKind{
 	OpAdd: ir.Add, OpSub: ir.Sub, OpMul: ir.Mul, OpUDiv: ir.UDiv, OpSDiv: ir.SDiv,
 	OpURem: ir.URem, OpSRem: ir.SRem, OpShl: ir.Shl, OpLShr: ir.LShr, OpAShr: ir.AShr,
@@ -235,33 +201,11 @@ func (f *Function) Verify() error {
 				return fmt.Errorf("%s: instruction %d uses a value that does not dominate it", f.Name, i)
 			}
 		}
-		switch {
-		case in.Op.IsBinOp():
-			if len(in.Args) != 2 || in.Args[0].Width != in.Width || in.Args[1].Width != in.Width {
-				return fmt.Errorf("%s: malformed %s at %d", f.Name, in.Op, i)
-			}
-		case in.Op == OpICmp:
-			if len(in.Args) != 2 || in.Width != 1 || in.Args[0].Width != in.Args[1].Width {
-				return fmt.Errorf("%s: malformed icmp at %d", f.Name, i)
-			}
-		case in.Op == OpSelect:
-			if len(in.Args) != 3 || in.Args[0].Width != 1 || in.Args[1].Width != in.Width || in.Args[2].Width != in.Width {
-				return fmt.Errorf("%s: malformed select at %d", f.Name, i)
-			}
-		case in.Op == OpZExt || in.Op == OpSExt:
-			if len(in.Args) != 1 || in.Args[0].Width >= in.Width {
-				return fmt.Errorf("%s: malformed extension at %d", f.Name, i)
-			}
-		case in.Op == OpTrunc:
-			if len(in.Args) != 1 || in.Args[0].Width <= in.Width {
-				return fmt.Errorf("%s: malformed trunc at %d", f.Name, i)
-			}
-		case in.Op == OpConst:
-			if in.Const.Width() != in.Width {
-				return fmt.Errorf("%s: malformed const at %d", f.Name, i)
-			}
-		case in.Op == OpParam:
+		if in.Op == OpParam {
 			return fmt.Errorf("%s: param in body at %d", f.Name, i)
+		}
+		if !in.wellTyped() {
+			return fmt.Errorf("%s: malformed %s at %d", f.Name, in.Op, i)
 		}
 		seen[in] = true
 	}
@@ -269,6 +213,27 @@ func (f *Function) Verify() error {
 		return fmt.Errorf("%s: missing or foreign return value", f.Name)
 	}
 	return nil
+}
+
+// wellTyped reports whether in has the number of operands and the widths
+// its opcode requires.
+func (in *Instr) wellTyped() bool {
+	a := in.Args
+	switch {
+	case in.Op.IsBinOp():
+		return len(a) == 2 && a[0].Width == in.Width && a[1].Width == in.Width
+	case in.Op == OpICmp:
+		return len(a) == 2 && in.Width == 1 && a[0].Width == a[1].Width
+	case in.Op == OpSelect:
+		return len(a) == 3 && a[0].Width == 1 && a[1].Width == in.Width && a[2].Width == in.Width
+	case in.Op == OpZExt || in.Op == OpSExt:
+		return len(a) == 1 && a[0].Width < in.Width
+	case in.Op == OpTrunc:
+		return len(a) == 1 && a[0].Width > in.Width
+	case in.Op == OpConst:
+		return in.Const.Width() == in.Width
+	}
+	return true
 }
 
 // String prints the function in an LLVM-like textual form.

@@ -401,7 +401,22 @@ func TestPeepholeUndecidedPrecondition(t *testing.T) {
 func TestPeepholeConversionConstant(t *testing.T) {
 	ct := compile(t, "Name: sext-of-add-nsw\n%a = add nsw %x, C1\n%r = sext %a\n=>\n%s = sext %x\n%r = add nsw %s, sext(C1)")
 	b := NewBuilder("f", 8)
-	f := b.Ret(b.Conv(OpSExt, b.Bin(OpAdd, ir.NSW, b.Param(0), b.ConstInt(8, -100)), 16))
+	fireAndRefine(t, ct, b.Ret(b.Conv(OpSExt, b.Bin(OpAdd, ir.NSW, b.Param(0), b.ConstInt(8, -100)), 16)))
+}
+
+// TestPeepholeConstantFirstICmp: a constant first operand takes the
+// width of the other operand, not the root's i1. Built at i1, the
+// rewrite of an i8 compare was a malformed icmp.
+func TestPeepholeConstantFirstICmp(t *testing.T) {
+	ct := compile(t, "Name: swap-ult\n%r = icmp ult %x, 5\n=>\n%r = icmp ugt 5, %x")
+	b := NewBuilder("f", 8)
+	fireAndRefine(t, ct, b.Ret(b.ICmp(ir.CondUlt, b.Param(0), b.ConstInt(8, 5))))
+}
+
+// fireAndRefine checks that ct fires once on f, that the result is well
+// formed, and that it refines f on 50 random inputs.
+func fireAndRefine(t *testing.T, ct *CompiledTransform, f *Function) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	var inputs [][]bv.Vec
 	var want []ExecValue
@@ -438,6 +453,14 @@ func TestCompileRejectsUndefAndMemory(t *testing.T) {
 	}
 	if _, err := Compile(tr); err == nil {
 		t.Fatal("undef sources must be rejected")
+	}
+	// Mini-IR has no undef to build.
+	tr, err = parser.ParseOne("Pre: C u>= width(%x)\n%s = shl %x, C\n%r = select %c, %s, %y\n=>\n%r = select %c, undef, %y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(tr); err == nil {
+		t.Fatal("undef targets must be rejected")
 	}
 	tr2, err := parser.ParseOne("%p = alloca i8, 1\nstore %v, %p\n%r = load %p\n=>\n%r = %v")
 	if err != nil {

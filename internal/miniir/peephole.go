@@ -2,6 +2,7 @@ package miniir
 
 import (
 	"fmt"
+	"slices"
 
 	"alive/internal/bv"
 	"alive/internal/ir"
@@ -10,33 +11,33 @@ import (
 // CompiledTransform is an Alive transformation compiled into a native
 // matcher-and-rewriter over mini-IR — the executable counterpart of the
 // C++ that Section 4's generator emits, used to measure firing counts
-// (Figure 9) and pass cost (Section 6.4). It executes the match plan
-// codegen prints.
+// (Figure 9) and pass cost (Section 6.4). It executes the plan codegen
+// prints.
 type CompiledTransform struct {
 	Name string
-	t    *ir.Transform
-	plan *ir.MatchPlan
-	ops  []Op // ops[i] is the opcode plan.Steps[i] matches
+	plan ir.Plan
+	ops  []Op // the opcodes of plan.Match and then of plan.Build
 }
 
 // Compile prepares a transformation for application. Transformations
-// whose source contains undef or memory operations are not matchable in
-// this IR and are rejected.
+// whose plan has undef, memory operations or conversions other than
+// zext, sext and trunc are not expressible in this IR and are rejected.
 func Compile(t *ir.Transform) (*CompiledTransform, error) {
-	plan, err := ir.CompileMatch(t)
+	plan, err := ir.CompilePlan(t)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", t.Name, err)
 	}
-	ct := &CompiledTransform{Name: t.Name, t: t, plan: plan, ops: make([]Op, len(plan.Steps))}
-	for i, s := range plan.Steps {
-		var ok bool
-		if ct.ops[i], ok = opFor(s.In); !ok {
-			return nil, fmt.Errorf("%s: %s is not matchable in mini-IR", t.Name, s.In)
-		}
-		for _, a := range s.Args {
-			if a.Kind == ir.ArgUndef {
-				return nil, fmt.Errorf("%s: undef in source template is not matchable", t.Name)
+	if plan.Root.Kind == ir.ArgUndef {
+		return nil, fmt.Errorf("%s: undef is not expressible in mini-IR", t.Name)
+	}
+	ct := &CompiledTransform{Name: t.Name, plan: plan, ops: make([]Op, 0, len(plan.Match)+len(plan.Build))}
+	for _, steps := range [2][]ir.Step{plan.Match, plan.Build} {
+		for i := range steps {
+			op, ok := opFor(steps[i].In)
+			if !ok || slices.ContainsFunc(steps[i].Args, func(a ir.Arg) bool { return a.Kind == ir.ArgUndef }) {
+				return nil, fmt.Errorf("%s: %s is not expressible in mini-IR", t.Name, steps[i].In)
 			}
+			ct.ops = append(ct.ops, op)
 		}
 	}
 	return ct, nil
@@ -46,23 +47,20 @@ func Compile(t *ir.Transform) (*CompiledTransform, error) {
 func opFor(in ir.Instr) (Op, bool) {
 	switch in := in.(type) {
 	case *ir.BinOp:
-		return BinOpFor(in.Op), true
+		return OpAdd + Op(slices.Index(binOpKinds[OpAdd:], in.Op)), true
 	case *ir.ICmp:
 		return OpICmp, true
 	case *ir.Select:
 		return OpSelect, true
 	case *ir.Conv:
-		switch in.Kind {
-		case ir.ZExt:
-			return OpZExt, true
-		case ir.SExt:
-			return OpSExt, true
-		case ir.Trunc:
-			return OpTrunc, true
-		}
+		op, ok := convOps[in.Kind]
+		return op, ok
 	}
 	return 0, false
 }
+
+// convOps maps the conversions mini-IR has to their opcodes.
+var convOps = map[ir.ConvKind]Op{ir.ZExt: OpZExt, ir.SExt: OpSExt, ir.Trunc: OpTrunc}
 
 // binding is a template value and the instruction bound to it. An
 // abstract constant is bound to the constant instruction it matched,
@@ -74,7 +72,7 @@ type binding struct {
 
 // table holds the bindings of one match. A template binds only a few
 // values, so a linear scan beats hashing, and truncating a table reuses
-// its storage.
+// its storage. The plan binds each value once, so binding appends.
 type table []binding
 
 func (t table) get(tv ir.Value) (*Instr, bool) {
@@ -84,17 +82,6 @@ func (t table) get(tv ir.Value) (*Instr, bool) {
 		}
 	}
 	return nil, false
-}
-
-// set binds tv to cv, replacing an earlier binding of tv.
-func (t *table) set(tv ir.Value, cv *Instr) {
-	for i := range *t {
-		if (*t)[i].tv == tv {
-			(*t)[i].cv = cv
-			return
-		}
-	}
-	*t = append(*t, binding{tv, cv})
 }
 
 // bindings is the state of one match attempt and, when it succeeds, of
@@ -141,7 +128,7 @@ func (b *bindings) useCount(in *Instr) int {
 // an instruction operand where the plan first meets it, and then binds
 // the step's instruction to cv.
 func (b *bindings) matchStep(ct *CompiledTransform, i int, cv *Instr) bool {
-	s := &ct.plan.Steps[i]
+	s := &ct.plan.Match[i]
 	if cv.Op != ct.ops[i] || cv.Flags&s.Flags != s.Flags || cv.Op == OpICmp && cv.Cond != s.Cond ||
 		s.Width != 0 && cv.Width != s.Width || s.ArgWidth != 0 && cv.Args[0].Width != s.ArgWidth {
 		return false
@@ -154,7 +141,7 @@ func (b *bindings) matchStep(ct *CompiledTransform, i int, cv *Instr) bool {
 			if isConst && arg.Op != OpConst || a.Width != 0 && arg.Width != a.Width {
 				return false
 			}
-			b.vals.set(a.V, arg)
+			b.vals = append(b.vals, binding{a.V, arg})
 		case ir.ArgSame:
 			// Distinct constant instructions may hold equal values.
 			prev, _ := b.vals.get(a.V)
@@ -178,7 +165,7 @@ func (b *bindings) matchStep(ct *CompiledTransform, i int, cv *Instr) bool {
 			}
 		}
 	}
-	b.vals.set(s.In, cv)
+	b.vals = append(b.vals, binding{s.In, cv})
 	return true
 }
 
@@ -243,38 +230,39 @@ func (b *bindings) Analysis(p *ir.FuncPred) ir.Truth {
 	return ir.Undecided
 }
 
-// apply rewrites the DAG rooted at rootIn according to the target
-// template, reading and extending the bindings of the match. It returns
-// false, leaving the function as it was, when the target needs a
-// construct the IR cannot express (e.g. undef).
+// apply executes ct's build steps before rootIn, reading and extending
+// the bindings of the match, and replaces rootIn with the plan's root
+// value. It returns false, leaving the function as it was, when a
+// constant is undefined or a built instruction's operand widths differ.
 func (ct *CompiledTransform) apply(b *bindings, rootIn *Instr) bool {
 	b.created = b.created[:0]
-	// Build the target in order so redefinitions shadow source bindings.
-	var newRoot *Instr
-	for _, tin := range ct.t.Target {
-		width := rootIn.Width
-		if prev, ok := b.vals.get(ct.t.SourceValue(tin.Name())); ok && tin.Name() != "" {
-			width = prev.Width
+	for i := range ct.plan.Build {
+		s := &ct.plan.Build[i]
+		args := make([]*Instr, len(s.Args))
+		for j := range s.Args {
+			if args[j] = b.value(&s.Args[j], s.Like); args[j] == nil {
+				return false
+			}
 		}
-		built, ok := b.build(tin, width)
-		if !ok {
+		in := &Instr{Op: ct.ops[len(ct.plan.Match)+i], Width: args[0].Width, Flags: s.Flags, Cond: s.Cond, Args: args}
+		switch in.Op {
+		case OpICmp:
+			in.Width = 1
+		case OpSelect:
+			in.Width = args[1].Width
+		case OpZExt, OpSExt, OpTrunc:
+			if in.Width = s.Width; in.Width == 0 {
+				in.Width, _ = b.Width(s.Like)
+			}
+		}
+		if !in.wellTyped() {
 			return false
 		}
-		if tin.Name() != "" {
-			// Later target instructions referring to this name must see
-			// the new definition: rebind the *source* node of that name.
-			if srcNode := ct.t.SourceValue(tin.Name()); srcNode != nil && srcNode != ct.plan.Steps[0].In {
-				b.vals.set(srcNode, built)
-			}
-			if tin.Name() == ct.t.Root {
-				newRoot = built
-			}
-		}
+		b.created = append(b.created, in)
+		b.vals = append(b.vals, binding{s.In, in})
 	}
-	if newRoot == nil || newRoot == rootIn {
-		return false
-	}
-	if newRoot.Width != rootIn.Width {
+	newRoot := b.value(&ct.plan.Root, ct.plan.Match[0].In)
+	if newRoot == nil || newRoot == rootIn || newRoot.Width != rootIn.Width {
 		return false
 	}
 	b.f.InsertBefore(rootIn, b.created)
@@ -282,78 +270,26 @@ func (ct *CompiledTransform) apply(b *bindings, rootIn *Instr) bool {
 	return true
 }
 
-// build returns the instruction for target value v, creating it (and
-// recording it in b.created) unless v is bound.
-func (b *bindings) build(v ir.Value, width int) (*Instr, bool) {
-	// Source-bound and previously built values are reused directly.
-	if cv, ok := b.vals.get(v); ok {
-		return cv, true
+// value returns the instruction for operand a of a build step: the one
+// the match bound or a step built, or a new constant as wide as like
+// unless a fixes its width, which it records in b.created. It returns
+// nil for an undefined constant.
+func (b *bindings) value(a *ir.Arg, like ir.Value) *Instr {
+	if !a.Created() {
+		cv, _ := b.vals.get(a.V)
+		return cv
 	}
-	var in *Instr
-	switch v := v.(type) {
-	case *ir.Literal:
-		in = &Instr{Op: OpConst, Width: width, Const: bv.NewInt(width, v.V)}
-	case *ir.AbstractConst, *ir.ConstUnExpr, *ir.ConstBinExpr, *ir.ConstFunc:
-		c, ok := ir.EvalConst(v, width, b)
-		if !ok {
-			return nil, false
-		}
-		in = &Instr{Op: OpConst, Width: width, Const: c}
-	case *ir.BinOp:
-		x, okx := b.build(v.X, width)
-		if !okx {
-			return nil, false
-		}
-		y, oky := b.build(v.Y, x.Width)
-		if !oky || x.Width != y.Width {
-			return nil, false
-		}
-		in = &Instr{Op: BinOpFor(v.Op), Width: x.Width, Flags: v.Flags, Args: []*Instr{x, y}}
-		b.vals.set(v, in)
-	case *ir.ICmp:
-		x, okx := b.build(v.X, width)
-		if !okx {
-			return nil, false
-		}
-		y, oky := b.build(v.Y, x.Width)
-		if !oky {
-			return nil, false
-		}
-		in = &Instr{Op: OpICmp, Width: 1, Cond: v.Cond, Args: []*Instr{x, y}}
-		b.vals.set(v, in)
-	case *ir.Select:
-		c, okc := b.build(v.Cond, 1)
-		tv, okt := b.build(v.TrueV, width)
-		if !okc || !okt {
-			return nil, false
-		}
-		fv, okf := b.build(v.FalseV, tv.Width)
-		if !okf {
-			return nil, false
-		}
-		in = &Instr{Op: OpSelect, Width: tv.Width, Args: []*Instr{c, tv, fv}}
-		b.vals.set(v, in)
-	case *ir.Conv:
-		x, ok := b.build(v.X, width)
-		if !ok {
-			return nil, false
-		}
-		op, ok := opFor(v)
-		if !ok {
-			return nil, false
-		}
-		if to, ok := v.ToType.(ir.IntType); ok {
-			width = to.Bits // a written result type, as in `trunc i8 %x to i4`
-		}
-		in = &Instr{Op: op, Width: width, Args: []*Instr{x}}
-		b.vals.set(v, in)
-	case *ir.Copy:
-		return b.build(v.X, width)
-	default:
-		return nil, false
+	w := a.Width
+	if w == 0 {
+		w, _ = b.Width(like)
 	}
+	c, ok := ir.EvalConst(a.V, w, b)
+	if !ok {
+		return nil
+	}
+	in := &Instr{Op: OpConst, Width: w, Const: c}
 	b.created = append(b.created, in)
-	return in, true
+	return in
 }
 
 // Pass applies a set of compiled transformations to modules, counting
