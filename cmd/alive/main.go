@@ -103,7 +103,7 @@ func run() int {
 	gencpp := flag.Bool("gencpp", false, "generate C++ for valid transformations")
 	dumpSMT := flag.Bool("dump-smt", false, "print the verification conditions as SMT-LIB 2 scripts")
 	lintFlag := flag.Bool("lint", false, "reject transformations with lint errors before proving")
-	presolve := flag.String("presolve", "on", "abstract-interpretation presolver before the SAT core (on|off)")
+	presolve := flag.String("presolve", "on", "ring presolve (refutes denied polynomial identities) before the SAT core (on|off)")
 	preprocess := flag.String("preprocess", "on", "SatELite-style CNF preprocessing between bit-blasting and the SAT core (on|off)")
 	quiet := flag.Bool("quiet", false, "suppress counterexample details")
 	verbose := flag.Bool("v", false, "print per-transformation solver counters")

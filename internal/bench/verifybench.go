@@ -66,7 +66,12 @@ import (
 // Version 8: propagations now include the propagations of failed-literal
 // probing under each query's assumptions (sat.ProbeUnder), which the
 // counter used to miss; every other column keeps its meaning.
-const VerifyReportSchema = 8
+// Version 9: the presolver keeps only the ring check — the counters
+// block lost ring_refuted, which would always equal decided, and the
+// queries the bitwise and refinement domains used to decide reach the
+// SAT core, so decided drops and cdcl_runs and the SAT-core columns
+// grow.
+const VerifyReportSchema = 9
 
 // VerifySlow is one entry of the report's slowest-transforms table.
 // Durations are machine-dependent and informational; the comparator

@@ -192,11 +192,11 @@ func TestCompareVerifyReportsMissingCounterColumn(t *testing.T) {
 }
 
 func TestCompareVerifyReportsSchema4Columns(t *testing.T) {
-	// The schema-4 counters that survive in schema 6 — the LBD-tiered
-	// clause database and the ring presolve — are required columns like
-	// any other: a baseline missing one must fail the gate, not silently
-	// compare the zero value.
-	for _, col := range []string{"lbd_core", "db_reductions", "ring_refuted"} {
+	// The schema-4 counters that survive — the LBD-tiered clause
+	// database — are required columns like any other: a baseline
+	// missing one must fail the gate, not silently compare the zero
+	// value.
+	for _, col := range []string{"lbd_core", "db_reductions"} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "BENCH_verify.json")
 		if err := WriteVerifyReport(path, sampleReport()); err != nil {

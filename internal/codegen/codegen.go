@@ -179,10 +179,12 @@ func (g *generator) matchStep(i int) {
 	}
 	g.widthCheck(holder, s.Width)
 	g.widthCheck(fmt.Sprintf("cast<Instruction>(%s)->getOperand(0)", holder), s.ArgWidth)
-	for _, a := range s.Args {
+	for j, a := range s.Args {
 		switch a.Kind {
 		case ir.ArgBind:
 			g.widthCheck(g.names[a.V], a.Width)
+		case ir.ArgLiteral:
+			g.widthCheck(fmt.Sprintf("cast<Instruction>(%s)->getOperand(%d)", holder, j), a.Width)
 		case ir.ArgInstr:
 			g.matchStep(a.Step)
 		case ir.ArgConst:

@@ -72,10 +72,10 @@ func TestGeneratedPassCompiles(t *testing.T) {
 }
 
 // TestCorpusMatchPlans checks the plans of the corpus pass: the
-// transforms it skips, the width checks of every written source type,
-// constant-expression operands, and the types of constant select arms;
-// and that a source instruction the root does not reach, which no
-// clause would check, is rejected.
+// transforms it skips, the width checks of every written source type
+// and Bool literal, constant-expression operands, and the types of
+// constant select arms; and that a source instruction the root does
+// not reach, which no clause would check, is rejected.
 func TestCorpusMatchPlans(t *testing.T) {
 	ts := corpus(t)
 	_, skipped := GeneratePass("AliveCorpus", ts)
@@ -119,6 +119,13 @@ func TestCorpusMatchPlans(t *testing.T) {
 		if len(written) > 0 {
 			typed++
 		}
+		for _, in := range tr.Source {
+			for _, v := range ir.Operands(in) {
+				if l, ok := v.(*ir.Literal); ok && l.Bool {
+					written = append(written, 1) // true and false are i1
+				}
+			}
+		}
 		if got := strings.Count(body, "->isIntegerTy("); got != len(written) {
 			t.Errorf("%s: %d width checks for %d written source types:\n%s", tr.Name, got, len(written), body)
 		}
@@ -134,6 +141,7 @@ func TestCorpusMatchPlans(t *testing.T) {
 
 	for name, want := range map[string][]string{
 		"MulDivRem:mul-bool-and": {"I->getType()->isIntegerTy(1)"},
+		"Select:and-pattern":     {"cast<Instruction>(I)->getOperand(2)->getType()->isIntegerTy(1)"},
 		"MulDivRem:udiv-narrow-zext": {
 			"cast<Instruction>(zx)->getOperand(0)->getType()->isIntegerTy(8)",
 			"zx->getType()->isIntegerTy(16)",

@@ -40,8 +40,8 @@ const (
 	SiteTyping Site = "typing"
 	// SiteVCGen fires at the top of verification-condition encoding.
 	SiteVCGen Site = "vcgen"
-	// SitePresolve fires in the solver façade before the
-	// abstract-interpretation presolve of each satisfiability query.
+	// SitePresolve fires in the solver façade before the ring presolve
+	// (absint.RingEqual) of each satisfiability query.
 	SitePresolve Site = "absint-presolve"
 	// SiteBitblast fires at the bit-blaster's periodic stop poll.
 	SiteBitblast Site = "bitblast"

@@ -61,7 +61,8 @@ type Arg struct {
 	Kind ArgKind
 	V    Value // the template value, copies followed
 	// Width is the written width of a value the match binds, and 1 for a
-	// select condition the rewrite creates; 0 otherwise.
+	// Bool literal the match compares or a select condition the rewrite
+	// creates; 0 otherwise.
 	Width int
 	Step  int // ArgInstr: the index of the step that matches or creates V
 }
@@ -205,6 +206,9 @@ func (c *planner) step(in Instr) (int, error) {
 		switch v := v.(type) {
 		case *Literal:
 			a.Kind = ArgLiteral
+			if v.Bool {
+				a.Width = 1
+			}
 		case *UndefValue:
 			a.Kind = ArgUndef
 		case *Input:

@@ -56,8 +56,8 @@ func TestCountersFuncExpansion(t *testing.T) {
 			t.Errorf("missing series alive_run_%s", name)
 		}
 	})
-	if fields < 25 {
-		t.Fatalf("counter block has %d fields, expected at least 25", fields)
+	if fields < 24 {
+		t.Fatalf("counter block has %d fields, expected at least 24", fields)
 	}
 	if !strings.Contains(out, "alive_run_conflicts 42\n") {
 		t.Errorf("conflicts value not surfaced:\n%s", out)

@@ -413,6 +413,29 @@ func TestPeepholeConstantFirstICmp(t *testing.T) {
 	fireAndRefine(t, ct, b.Ret(b.ICmp(ir.CondUlt, b.Param(0), b.ConstInt(8, 5))))
 }
 
+// TestPeepholeBoolLiteralIsI1: true and false are i1, so a source false
+// matches only an i1 0. Select:and-pattern matched an i8 select's 0 arm,
+// and its rewrite then built an and of an i1 and an i8.
+func TestPeepholeBoolLiteralIsI1(t *testing.T) {
+	ct := compile(t, "Name: Select:and-pattern\n%r = select %c, %y, false\n=>\n%r = and %c, %y")
+	for _, tc := range []struct {
+		width int
+		match bool
+	}{
+		{1, true},
+		{8, false},
+	} {
+		b := NewBuilder("f", 1, tc.width)
+		sel := b.Select(b.Param(0), b.Param(1), b.ConstInt(tc.width, 0))
+		f := b.Ret(sel)
+		bs := bindings{known: map[*Instr]KnownBits{}, uses: map[*Instr]int{}}
+		bs.startScan(f)
+		if got := ct.match(&bs, sel); got != tc.match {
+			t.Errorf("select i1 %%c, i%d %%y, i%d 0: match = %v, want %v", tc.width, tc.width, got, tc.match)
+		}
+	}
+}
+
 // fireAndRefine checks that ct fires once on f, that the result is well
 // formed, and that it refines f on 50 random inputs.
 func fireAndRefine(t *testing.T, ct *CompiledTransform, f *Function) {

@@ -149,7 +149,7 @@ func (b *bindings) matchStep(ct *CompiledTransform, i int, cv *Instr) bool {
 				return false
 			}
 		case ir.ArgLiteral:
-			if arg.Op != OpConst || !eqInt(arg.Const, a.V.(*ir.Literal).V) {
+			if arg.Op != OpConst || a.Width != 0 && arg.Width != a.Width || !eqInt(arg.Const, a.V.(*ir.Literal).V) {
 				return false
 			}
 		case ir.ArgConst:

@@ -8,43 +8,56 @@ import (
 	"alive/internal/smt"
 )
 
-// TestPresolveDischargesWithoutCDCL checks that abstractly decidable
-// queries never reach the SAT core.
-func TestPresolveDischargesWithoutCDCL(t *testing.T) {
+// TestRingPresolveRefutesWithoutCDCL checks that a top-level
+// disequality denying a ring identity never reaches the SAT core, and
+// that with the presolve off the core refutes it instead.
+func TestRingPresolveRefutesWithoutCDCL(t *testing.T) {
 	b := smt.NewBuilder()
-	x := b.Var("x", 8)
+	x, y := b.Var("x", 8), b.Var("y", 8)
+	// x·(y+1) ≠ x·y + x
+	f := b.Ne(b.Mul(x, b.Add(y, b.ConstUint(8, 1))), b.Add(b.Mul(x, y), x))
 	s := &Solver{}
-	// (x | 0x80) <u 0x10 is abstractly false: Unsat, no CDCL.
-	r := s.Check(b, b.Ult(b.BVOr(x, b.ConstUint(8, 0x80)), b.ConstUint(8, 0x10)))
-	if r.Status != Unsat {
+	if r := s.Check(b, f); r.Status != Unsat {
 		t.Fatalf("status = %v, want Unsat", r.Status)
 	}
-	if s.Stats.CDCLRuns != 0 || s.Stats.Decided != 1 {
+	if s.Stats.Decided != 1 || s.Stats.CDCLRuns != 0 {
 		t.Errorf("stats = %+v, want Decided=1 CDCLRuns=0", s.Stats)
 	}
-	// (x & 0x0F) <u 16 is abstractly true: Sat with the default model.
-	s2 := &Solver{}
-	r = s2.Check(b, b.Ult(b.BVAnd(x, b.ConstUint(8, 0x0F)), b.ConstUint(8, 16)))
-	if r.Status != Sat {
-		t.Fatalf("status = %v, want Sat", r.Status)
+	off := &Solver{DisablePresolve: true}
+	if r := off.Check(b, f); r.Status != Unsat {
+		t.Fatalf("presolve off: status = %v, want Unsat", r.Status)
 	}
-	if s2.Stats.CDCLRuns != 0 {
-		t.Errorf("tautology reached CDCL: %+v", s2.Stats)
+	if off.Stats.Decided != 0 || off.Stats.CDCLRuns != 1 {
+		t.Errorf("presolve off: stats = %+v, want Decided=0 CDCLRuns=1", off.Stats)
 	}
-	if got := smt.Eval(b.Ult(b.BVAnd(x, b.ConstUint(8, 0x0F)), b.ConstUint(8, 16)), r.Model); !got.B {
-		t.Error("returned model does not satisfy the formula")
-	}
-	// Mutually inconsistent conjuncts: refinement contradiction.
-	s3 := &Solver{}
-	r = s3.Check(b,
-		b.Eq(x, b.ConstUint(8, 3)),
-		b.Ult(b.ConstUint(8, 5), x),
-	)
-	if r.Status != Unsat {
-		t.Fatalf("status = %v, want Unsat", r.Status)
-	}
-	if s3.Stats.CDCLRuns != 0 {
-		t.Errorf("contradiction reached CDCL: %+v", s3.Stats)
+}
+
+// TestNonRingQueriesReachCDCL checks that queries an abstract domain
+// could decide, but the ring check cannot, are answered by the SAT
+// core with the right status and a satisfying model.
+func TestNonRingQueriesReachCDCL(t *testing.T) {
+	b := smt.NewBuilder()
+	x := b.Var("x", 8)
+	for _, c := range []struct {
+		name string
+		f    []*smt.Term
+		want Status
+	}{
+		{"bitwise-false", []*smt.Term{b.Ult(b.BVOr(x, b.ConstUint(8, 0x80)), b.ConstUint(8, 0x10))}, Unsat},
+		{"bitwise-true", []*smt.Term{b.Ult(b.BVAnd(x, b.ConstUint(8, 0x0F)), b.ConstUint(8, 16))}, Sat},
+		{"contradiction", []*smt.Term{b.Eq(x, b.ConstUint(8, 3)), b.Ult(b.ConstUint(8, 5), x)}, Unsat},
+	} {
+		s := &Solver{}
+		r := s.Check(b, c.f...)
+		if r.Status != c.want {
+			t.Fatalf("%s: status = %v, want %v", c.name, r.Status, c.want)
+		}
+		if r.Status == Sat && !smt.Eval(b.And(c.f...), r.Model).B {
+			t.Errorf("%s: returned model does not satisfy the formula", c.name)
+		}
+		if s.Stats.CDCLRuns != 1 || s.Stats.Decided != 0 {
+			t.Errorf("%s: stats = %+v, want CDCLRuns=1 Decided=0", c.name, s.Stats)
+		}
 	}
 }
 
@@ -86,8 +99,8 @@ func TestPresolveOffMatchesOn(t *testing.T) {
 	}
 }
 
-// TestPresolveHintsPreserveModels forces a CDCL run on a formula the
-// refinement analysis narrows but cannot decide, and checks the model.
+// TestPresolveHintsPreserveModels checks the model of a CDCL run on a
+// formula an interval analysis would narrow but cannot decide.
 func TestPresolveHintsPreserveModels(t *testing.T) {
 	b := smt.NewBuilder()
 	x, y := b.Var("x", 8), b.Var("y", 8)

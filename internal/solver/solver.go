@@ -81,9 +81,9 @@ type Solver struct {
 	// tripping it makes every in-flight query return Unknown with
 	// CauseStopped promptly.
 	Stop *sat.StopFlag
-	// DisablePresolve turns the abstract-interpretation presolver off:
-	// every query goes straight to bit-blasting (the -presolve=off
-	// escape hatch and a leave-one-out leg of the ablate experiment).
+	// DisablePresolve turns the ring presolve off: every query goes
+	// straight to bit-blasting (the -presolve=off escape hatch and a
+	// leave-one-out leg of the ablate experiment).
 	DisablePresolve bool
 	// DisablePreprocess turns the CNF preprocessor off: bit-blasted
 	// clauses stream straight into the session's CDCL core instead of
@@ -118,12 +118,6 @@ type Solver struct {
 	// sess is the lazily created solving session (nil until the first
 	// query that reaches bit-blasting).
 	sess *session
-	// presolve is the unconditional abstract analysis of the terms of
-	// presolveB, kept across queries: a hash-consed term's unconditional
-	// value never changes, so each query pays only for the terms it
-	// adds. A query on another builder starts a new one.
-	presolve  *absint.Analysis
-	presolveB *smt.Builder
 }
 
 // collectVars gathers variable terms of a formula keyed by name.
@@ -161,14 +155,10 @@ func conjuncts(t *smt.Term) []*smt.Term {
 
 // Check determines satisfiability of the conjunction of the assertions.
 //
-// Unless DisablePresolve is set, an abstract-interpretation presolve
-// runs first and may decide the query with no CDCL run: the formula's
-// unconditional abstract value (absint.New, memoized across the
-// Solver's queries on one builder) settles it when that value
-// is a constant, a polynomial-normalization check (absint.RingEqual)
-// refutes top-level disequalities whose sides are the same function of
-// the ring Z/2^w, and a refinement analysis of the top-level conjuncts
-// (absint.Refined) refutes them when they contradict each other.
+// Unless DisablePresolve is set, a polynomial-normalization presolve
+// (absint.RingEqual) runs first and refutes, with no CDCL run, a query
+// with a top-level disequality whose sides are the same function of the
+// ring Z/2^w.
 //
 // A query that survives presolve is answered by the Solver's session
 // (session.go): one CDCL core, bit-blaster and staged CNF shared by
@@ -205,27 +195,7 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 	if !s.DisablePresolve {
 		pspan := qspan.Child("presolve", "presolve")
 		s.Stats.TermNodesBefore += int64(formula.Size())
-		// First presolve domain, bitwise: the formula's unconditional
-		// abstract value holds under every assignment, so a decided one
-		// answers the query outright.
-		if s.presolveB != b {
-			s.presolve, s.presolveB = absint.New(), b
-		}
-		switch s.presolve.Of(formula).B {
-		case absint.BTrue:
-			// The default model satisfies a formula true everywhere.
-			s.Stats.Decided++
-			pspan.SetAttr("outcome", "decided-sat")
-			pspan.End()
-			return Result{Status: Sat, Model: defaultModel(assertions), Rounds: 1}
-		case absint.BFalse:
-			s.Stats.Decided++
-			pspan.SetAttr("outcome", "decided-unsat")
-			pspan.End()
-			return Result{Status: Unsat, Rounds: 1}
-		}
-		// Second presolve domain, algebraic instead of bitwise: a
-		// top-level conjunct ¬(u = v) whose sides normalize to the same
+		// A top-level conjunct ¬(u = v) whose sides normalize to the same
 		// polynomial over Z/2^w denies a ring identity, so the whole
 		// conjunction is unsatisfiable. This discharges the value-equality
 		// obligations of the reassociation transforms (a+a·b = a·(b+1),
@@ -237,19 +207,10 @@ func (s *Solver) Check(b *smt.Builder, assertions ...*smt.Term) Result {
 			}
 			if eq := cj.Args[0]; eq.Kind == smt.KEq && absint.RingEqual(eq.Args[0], eq.Args[1]) {
 				s.Stats.Decided++
-				s.Stats.RingRefuted++
 				pspan.SetAttr("outcome", "ring-refuted")
 				pspan.End()
 				return Result{Status: Unsat, Rounds: 1}
 			}
-		}
-		if absint.Refined(conjuncts(formula)...).Contradiction() {
-			// The conjuncts are mutually inconsistent in the abstract
-			// domain, which over-approximates the models: Unsat.
-			s.Stats.Decided++
-			pspan.SetAttr("outcome", "refuted")
-			pspan.End()
-			return Result{Status: Unsat, Rounds: 1}
 		}
 		pspan.SetAttr("outcome", "pass-through")
 		pspan.End()

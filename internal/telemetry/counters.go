@@ -20,16 +20,12 @@ type Counters struct {
 	// Checks is the number of satisfiability queries seen.
 	Checks int64 `json:"checks"`
 	// Folded queries were decided by constructor-level constant folding
-	// before any abstract analysis ran.
+	// before the presolve ran.
 	Folded int64 `json:"folded"`
-	// Decided queries were decided by the abstract-interpretation
-	// presolver alone — no CDCL run.
+	// Decided queries were refuted by the polynomial presolve, with no
+	// CDCL run: a top-level disequality whose sides normalize to the
+	// same polynomial over Z/2^w is unsatisfiable.
 	Decided int64 `json:"decided"`
-	// RingRefuted queries were discharged by the polynomial presolve: a
-	// top-level disequality whose sides normalize to the same polynomial
-	// over Z/2^w is unsatisfiable, so no CDCL run happens. Every
-	// RingRefuted query is also counted in Decided.
-	RingRefuted int64 `json:"ring_refuted"`
 	// CDCLRuns is the number of queries that reached the SAT core.
 	CDCLRuns int64 `json:"cdcl_runs"`
 	// TermNodesBefore totals the formula DAG sizes of the queries that
@@ -110,7 +106,6 @@ var counterFields = []struct {
 	{"checks", func(c *Counters) *int64 { return &c.Checks }},
 	{"folded", func(c *Counters) *int64 { return &c.Folded }},
 	{"decided", func(c *Counters) *int64 { return &c.Decided }},
-	{"ring_refuted", func(c *Counters) *int64 { return &c.RingRefuted }},
 	{"cdcl_runs", func(c *Counters) *int64 { return &c.CDCLRuns }},
 	{"term_nodes_before", func(c *Counters) *int64 { return &c.TermNodesBefore }},
 	{"propagations", func(c *Counters) *int64 { return &c.Propagations }},

@@ -156,8 +156,8 @@ func TestCountersAddSubEach(t *testing.T) {
 	}
 	var names []string
 	a.Each(func(name string, v int64) { names = append(names, name) })
-	if len(names) != 25 {
-		t.Fatalf("Each visited %d fields, want 25", len(names))
+	if len(names) != 24 {
+		t.Fatalf("Each visited %d fields, want 24", len(names))
 	}
 	if names[0] != "checks" || names[len(names)-1] != "learnts_retained" {
 		t.Fatalf("Each order changed: %v", names)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -309,18 +308,7 @@ func RunCorpus(ctx context.Context, ts []*ir.Transform, opts CorpusOptions) ([]R
 					defer func() {
 						if r := recover(); r != nil {
 							rr := Result{Transform: ts[i], Verdict: Unknown, GaveUpAssignment: -1}
-							if inj, ok := faultinject.AsInjected(r); ok {
-								if inj.OOM {
-									rr.Reason = ReasonOOM
-								} else {
-									rr.Reason = ReasonInjected
-								}
-								rr.Err = fmt.Errorf("%s", inj)
-							} else {
-								rr.Reason = ReasonPanic
-								rr.Err = fmt.Errorf("corpus worker panic: %v", r)
-								rr.PanicStack = string(debug.Stack())
-							}
+							rr.setPanic("corpus worker", r)
 							complete(worker, i, rr)
 						}
 					}()

@@ -236,7 +236,7 @@ var metricsSeries = []string{
 	"alive_folded", "alive_incremental_solves", "alive_lbd_core", "alive_learned_clauses",
 	"alive_learnts_retained", "alive_probe_units",
 	"alive_process_goroutines", "alive_process_heap_bytes",
-	"alive_propagations", "alive_restarts", "alive_ring_refuted",
+	"alive_propagations", "alive_restarts",
 	"alive_solver_conflicts", "alive_solver_decisions", "alive_solver_learnt_core",
 	"alive_solver_learnt_tier2", "alive_solver_learnts", "alive_solver_propagations",
 	"alive_solver_recent_lbd_x100", "alive_solver_restarts", "alive_solver_trail_depth",

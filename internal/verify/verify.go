@@ -147,9 +147,9 @@ type Options struct {
 	// transformation without attempting a proof when it reports
 	// error-severity findings; all findings land in Result.Lint.
 	Lint bool
-	// DisablePresolve turns off the abstract-interpretation presolver
-	// in the solver layer (the -presolve=off escape hatch): every
-	// query bit-blasts directly, as before the presolver existed.
+	// DisablePresolve turns off the ring presolve in the solver layer
+	// (the -presolve=off escape hatch): every query bit-blasts
+	// directly.
 	DisablePresolve bool
 	// DisablePreprocess turns off the CNF preprocessor in the solver
 	// layer (the -preprocess=off escape hatch): bit-blasted clauses go
@@ -420,20 +420,7 @@ func (c *Checker) Check(ctx context.Context) (res Result) {
 			c.typed = nil
 			res.Verdict = Unknown
 			res.Cex = nil
-			if inj, ok := faultinject.AsInjected(r); ok {
-				// Injected faults are part of the chaos contract, not
-				// pipeline bugs: classify precisely and skip the stack.
-				if inj.OOM {
-					res.Reason = ReasonOOM
-				} else {
-					res.Reason = ReasonInjected
-				}
-				res.Err = fmt.Errorf("%s", inj)
-				return
-			}
-			res.Reason = ReasonPanic
-			res.Err = fmt.Errorf("internal panic: %v", r)
-			res.PanicStack = string(debug.Stack())
+			res.setPanic("internal", r)
 		}
 	}()
 
@@ -500,6 +487,23 @@ func (c *Checker) Check(ctx context.Context) (res Result) {
 		}
 	}
 	return res
+}
+
+// setPanic records a panic recovered while verifying, named where in its
+// error text. An injected fault is part of the chaos contract, not a
+// pipeline bug: it is classified precisely and carries no stack.
+func (res *Result) setPanic(where string, r any) {
+	if inj, ok := faultinject.AsInjected(r); ok {
+		res.Reason = ReasonInjected
+		if inj.OOM {
+			res.Reason = ReasonOOM
+		}
+		res.Err = fmt.Errorf("%s", inj)
+		return
+	}
+	res.Reason = ReasonPanic
+	res.Err = fmt.Errorf("%s panic: %v", where, r)
+	res.PanicStack = string(debug.Stack())
 }
 
 // typing infers the transformation's type assignments, most preferred
