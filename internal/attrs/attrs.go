@@ -89,6 +89,10 @@ type Result struct {
 	// checked. Pruning never draws on them, so Feasible and Best hold
 	// only proven assignments, but Best may miss an undecided better one.
 	Undecided []Assignment
+
+	// src and tgt are the candidate-mask bits of the source and target
+	// slots.
+	src, tgt uint32
 }
 
 // Render returns the transformation text with the given assignment
@@ -186,7 +190,7 @@ func Infer(t *ir.Transform, opts verify.Options) (*Result, error) {
 func InferContext(ctx context.Context, t *ir.Transform, opts verify.Options) (*Result, error) {
 	const maxExhaustiveSlots = 10
 
-	r := &Result{Transform: t, Slots: slots(t)}
+	r := newResult(t, slots(t))
 	k := len(r.Slots)
 	r.Original = make(Assignment, k)
 	for i, s := range r.Slots {
@@ -198,7 +202,10 @@ func InferContext(ctx context.Context, t *ir.Transform, opts verify.Options) (*R
 	}
 
 	// Decision cache over bitmask candidates with partial-order pruning.
+	// Pruning draws on the checked candidates, in the order they were
+	// checked; a pruned one adds nothing, since implies is transitive.
 	status := map[uint32]int{}
+	var proven, refuted []uint32
 	c := verify.NewChecker(t, opts)
 	// why is the reason the last check that gave up gave.
 	why := ""
@@ -206,13 +213,14 @@ func InferContext(ctx context.Context, t *ir.Transform, opts verify.Options) (*R
 		if st := status[mask]; st != unchecked {
 			return st == correct
 		}
-		// Pruning by monotonicity against decided masks.
-		for m, st := range status {
-			if st == correct && r.implies(m, mask) {
+		for _, m := range proven {
+			if r.implies(m, mask) {
 				status[mask] = correct
 				return true
 			}
-			if st == incorrect && r.implies(mask, m) {
+		}
+		for _, m := range refuted {
+			if r.implies(mask, m) {
 				status[mask] = incorrect
 				return false
 			}
@@ -230,6 +238,7 @@ func InferContext(ctx context.Context, t *ir.Transform, opts verify.Options) (*R
 		switch res.Verdict {
 		case verify.Valid:
 			status[mask] = correct
+			proven = append(proven, mask)
 			return true
 		case verify.Unknown:
 			status[mask] = gaveUp
@@ -237,6 +246,7 @@ func InferContext(ctx context.Context, t *ir.Transform, opts verify.Options) (*R
 			return false
 		}
 		status[mask] = incorrect
+		refuted = append(refuted, mask)
 		return false
 	}
 
@@ -287,24 +297,25 @@ func InferContext(ctx context.Context, t *ir.Transform, opts verify.Options) (*R
 	return r, nil
 }
 
+// newResult returns the Result for inference over slots of t, with the
+// slot-side masks implies reads.
+func newResult(t *ir.Transform, slots []Slot) *Result {
+	r := &Result{Transform: t, Slots: slots}
+	for i, s := range slots {
+		if s.Side == SrcSide {
+			r.src |= 1 << uint(i)
+		} else {
+			r.tgt |= 1 << uint(i)
+		}
+	}
+	return r
+}
+
 // implies reports that correctness of assignment a implies correctness of
 // assignment b under the attribute partial order: b has a superset of a's
 // source attributes and a subset of its target attributes.
 func (r *Result) implies(a, b uint32) bool {
-	for i, s := range r.Slots {
-		bit := uint32(1) << uint(i)
-		av, bv := a&bit != 0, b&bit != 0
-		if s.Side == SrcSide {
-			if av && !bv {
-				return false
-			}
-		} else {
-			if bv && !av {
-				return false
-			}
-		}
-	}
-	return true
+	return a&r.src&^b == 0 && b&r.tgt&^a == 0
 }
 
 func (r *Result) maskToAssignment(mask uint32) Assignment {

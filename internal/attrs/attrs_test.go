@@ -208,6 +208,37 @@ func TestPartialOrderPruning(t *testing.T) {
 	}
 }
 
+// TestImpliesMaskForm checks implies' two mask tests against the
+// per-slot definition of the attribute order, on every pair of masks
+// for every assignment of sides to up to 6 slots.
+func TestImpliesMaskForm(t *testing.T) {
+	for k := 0; k <= 6; k++ {
+		for sides := 0; sides < 1<<k; sides++ {
+			slots := make([]Slot, k)
+			for i := range slots {
+				if sides>>i&1 == 1 {
+					slots[i].Side = TgtSide
+				}
+			}
+			r := newResult(nil, slots)
+			for a := uint32(0); a < 1<<k; a++ {
+				for b := uint32(0); b < 1<<k; b++ {
+					want := true
+					for i, s := range slots {
+						av, bv := a>>i&1 == 1, b>>i&1 == 1
+						if s.Side == SrcSide && av && !bv || s.Side == TgtSide && bv && !av {
+							want = false
+						}
+					}
+					if got := r.implies(a, b); got != want {
+						t.Fatalf("%d slots, sides %b: implies(%b, %b) = %v, want %v", k, sides, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDescribe(t *testing.T) {
 	r := infer(t, `
 %r = add nsw %x, %y

@@ -314,6 +314,9 @@ func LoadVerifyReport(path string) (*VerifyReport, error) {
 //     CNF sizes, ...) fail when they grow beyond the tolerance (plus a
 //     small absolute slack so near-zero counters don't trip on noise);
 //     shrinking is reported as an improvement note, not a failure;
+//   - outcome counters (outcomeCounters) are never gated: a move beyond
+//     the tolerance is a note that says whether the counter rose or
+//     fell;
 //   - wall-clock time and peak heap are machine-dependent and are
 //     reported as notes only.
 func CompareVerifyReports(base, cur *VerifyReport, tol float64) (fails, notes []string) {
@@ -369,10 +372,17 @@ func CompareVerifyReports(base, cur *VerifyReport, tol float64) (fails, notes []
 	for i, name := range names {
 		b, c := baseVals[i], curVals[i]
 		limit := int64(float64(b)*(1+tol)) + slack
+		fell := b > 0 && float64(c) < float64(b)*(1-tol)
 		switch {
+		case outcomeCounters[name]:
+			if c > limit {
+				notes = append(notes, fmt.Sprintf("%s rose: %d from %d", name, c, b))
+			} else if fell {
+				notes = append(notes, fmt.Sprintf("%s fell: %d from %d", name, c, b))
+			}
 		case c > limit:
 			fails = append(fails, fmt.Sprintf("%s: %d, baseline %d (limit %d)", name, c, b, limit))
-		case b > 0 && float64(c) < float64(b)*(1-tol):
+		case fell:
 			notes = append(notes, fmt.Sprintf("%s improved: %d from %d", name, c, b))
 		}
 	}
@@ -387,6 +397,22 @@ func CompareVerifyReports(base, cur *VerifyReport, tol float64) (fails, notes []
 			pctDelta(cur.PeakHeapBytes, base.PeakHeapBytes)))
 	}
 	return fails, notes
+}
+
+// outcomeCounters are the counters that count what a layer achieved
+// rather than the work it did: decisions, simplifications and reuse.
+// BENCHMARK.json rates them "higher is better", and a rise can mean
+// less search as well as more, so they are reported and never gated.
+var outcomeCounters = map[string]bool{
+	"folded":               true,
+	"decided":              true,
+	"vars_eliminated":      true,
+	"clauses_subsumed":     true,
+	"clauses_strengthened": true,
+	"clauses_blocked":      true,
+	"probe_units":          true,
+	"encodings_reused":     true,
+	"learnts_retained":     true,
 }
 
 // pctDelta renders cur relative to a nonzero baseline as a signed

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -113,6 +114,34 @@ func TestCompareVerifyReportsImprovementIsNote(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("improvement not noted: %v", notes)
+	}
+}
+
+// TestCompareVerifyReportsOutcomeCounters checks the direction rule:
+// an outcome counter that moves beyond the tolerance either way is a
+// note saying so, never a failure, while a work counter keeps its
+// growth gate.
+func TestCompareVerifyReportsOutcomeCounters(t *testing.T) {
+	base := sampleReport()
+	base.Counters.EncodingsReused = 408
+	base.Counters.ClausesSubsumed = 17019
+	cur := *base
+	cur.Counters.EncodingsReused = 4 * 408
+	cur.Counters.ClausesSubsumed = 10836 // -36%
+	fails, notes := CompareVerifyReports(base, &cur, 0.25)
+	if len(fails) != 0 {
+		t.Fatalf("outcome counters gated: %v", fails)
+	}
+	for _, want := range []string{"encodings_reused rose: 1632 from 408", "clauses_subsumed fell: 10836 from 17019"} {
+		if !slices.Contains(notes, want) {
+			t.Errorf("no note %q in %v", want, notes)
+		}
+	}
+
+	cur.Counters.Conflicts = base.Counters.Conflicts * 13 / 10
+	fails, _ = CompareVerifyReports(base, &cur, 0.25)
+	if len(fails) != 1 || !strings.Contains(fails[0], "conflicts") {
+		t.Fatalf("conflicts +30%% not flagged: %v", fails)
 	}
 }
 

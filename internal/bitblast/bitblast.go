@@ -2,12 +2,16 @@
 // Tseitin transformation, producing clauses for a sat.Solver. Circuits:
 // ripple-carry adders, shift-add multipliers, restoring dividers, barrel
 // shifters, and comparison chains. Every gate is encoded as a full
-// equivalence so terms may appear in either polarity.
+// equivalence so terms may appear in either polarity. Gates are
+// structurally hashed: a gate whose normalized inputs match one already
+// built is that gate, so a circuit built twice is encoded once.
 package bitblast
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"alive/internal/bv"
 	"alive/internal/faultinject"
@@ -50,14 +54,23 @@ type Blaster struct {
 	boolVars  map[string]sat.Lit
 	bvVars    map[string][]sat.Lit
 
+	// gates is the unique table: every gate built since the last
+	// ForgetGates, keyed by its normalized inputs.
+	gates map[gateKey]sat.Lit
+
 	lTrue  sat.Lit
 	lFalse sat.Lit
 
 	stopOps int // cache-miss lowerings since the last Stop poll
 
-	// Gates counts the Tseitin gate variables introduced (for the
-	// simplification ablation).
+	// Gates counts the fresh Tseitin gate variables introduced; a gate
+	// found in the unique table is counted in Shared instead.
 	Gates int
+
+	// Shared counts unique-table hits: gates requested again, under
+	// another term or from inside another circuit, and answered with
+	// the literal of the gate already built.
+	Shared int64
 
 	// Hits counts memoization hits in Lit/Bits: lowerings answered from
 	// the term caches instead of emitting a fresh encoding. Within one
@@ -87,10 +100,10 @@ func (bl *Blaster) checkStop() {
 	}
 }
 
-// Stats summarizes one Blaster's encoding work for telemetry: Tseitin
-// gate variables introduced, distinct Bool and BitVec terms lowered
-// (cache entries, so shared subterms count once), and named problem
-// variables bound.
+// Stats summarizes one Blaster's encoding work for telemetry: fresh
+// Tseitin gate variables introduced, distinct Bool and BitVec terms
+// lowered (cache entries, so shared subterms count once), and named
+// problem variables bound.
 type Stats struct {
 	Gates     int
 	BoolTerms int
@@ -116,6 +129,7 @@ func New(s ClauseDB) *Blaster {
 		bvCache:   map[*smt.Term][]sat.Lit{},
 		boolVars:  map[string]sat.Lit{},
 		bvVars:    map[string][]sat.Lit{},
+		gates:     map[gateKey]sat.Lit{},
 	}
 	v := s.NewVar()
 	bl.lTrue = sat.MkLit(v, false)
@@ -129,6 +143,35 @@ func (bl *Blaster) fresh() sat.Lit {
 	return sat.MkLit(bl.S.NewVar(), false)
 }
 
+// gateKey identifies a gate by its kind (smt.KAnd, smt.KXor or
+// smt.KIte) and normalized inputs: up to three in a, b and c, or, for
+// an AND of more than three, all of them packed into wide. Literal 0 is
+// never a real literal, so a two-input key cannot collide with a
+// three-input one.
+type gateKey struct {
+	op      smt.Kind
+	a, b, c sat.Lit
+	wide    string
+}
+
+// lookup returns the gate registered under k, counting the hit.
+func (bl *Blaster) lookup(k gateKey) (sat.Lit, bool) {
+	g, ok := bl.gates[k]
+	if ok {
+		bl.Shared++
+	}
+	return g, ok
+}
+
+// ForgetGates empties the unique table, so later lowerings build fresh
+// gates instead of returning ones built so far. A gate variable that is
+// not an interface variable (see EachInterfaceVar) may be eliminated
+// once the clauses that define it are preprocessed, and then no later
+// clause may mention it, so a session calls this before each query.
+func (bl *Blaster) ForgetGates() {
+	bl.gates = map[gateKey]sat.Lit{}
+}
+
 // constLit returns the literal for a Boolean constant.
 func (bl *Blaster) constLit(v bool) sat.Lit {
 	if v {
@@ -137,46 +180,80 @@ func (bl *Blaster) constLit(v bool) sat.Lit {
 	return bl.lFalse
 }
 
-// mkAnd returns a literal equivalent to the conjunction of lits.
+// mkAnd returns a literal equivalent to the conjunction of lits. The
+// inputs are normalized first: constants and duplicates dropped, a
+// complementary pair folded to false, the rest sorted.
 func (bl *Blaster) mkAnd(lits ...sat.Lit) sat.Lit {
-	out := lits[:0:0]
+	var buf [3]sat.Lit
+	in := buf[:0]
 	for _, l := range lits {
 		if l == bl.lFalse {
 			return bl.lFalse
 		}
-		if l == bl.lTrue {
+		if l != bl.lTrue {
+			in = append(in, l)
+		}
+	}
+	// Sorted, a literal sits next to its duplicates and its complement.
+	slices.Sort(in)
+	n := 0
+	for _, l := range in {
+		if n > 0 && l.Var() == in[n-1].Var() {
+			if l != in[n-1] {
+				return bl.lFalse
+			}
 			continue
 		}
-		out = append(out, l)
+		in[n] = l
+		n++
 	}
-	switch len(out) {
+	in = in[:n]
+	var k gateKey
+	switch len(in) {
 	case 0:
 		return bl.lTrue
 	case 1:
-		return out[0]
+		return in[0]
+	case 2:
+		k = gateKey{op: smt.KAnd, a: in[0], b: in[1]}
+	case 3:
+		k = gateKey{op: smt.KAnd, a: in[0], b: in[1], c: in[2]}
+	default:
+		w := make([]byte, 0, 4*len(in))
+		for _, l := range in {
+			w = binary.LittleEndian.AppendUint32(w, uint32(l))
+		}
+		k = gateKey{op: smt.KAnd, wide: string(w)}
+	}
+	if g, ok := bl.lookup(k); ok {
+		return g
 	}
 	g := bl.fresh()
 	// g -> each l ; (all l) -> g
-	long := make([]sat.Lit, 0, len(out)+1)
-	for _, l := range out {
+	long := make([]sat.Lit, 0, len(in)+1)
+	for _, l := range in {
 		bl.S.AddClause(g.Not(), l)
 		long = append(long, l.Not())
 	}
 	long = append(long, g)
 	bl.S.AddClause(long...)
+	bl.gates[k] = g
 	return g
 }
 
 // mkOr returns a literal equivalent to the disjunction of lits.
 func (bl *Blaster) mkOr(lits ...sat.Lit) sat.Lit {
-	neg := make([]sat.Lit, len(lits))
-	for i, l := range lits {
-		neg[i] = l.Not()
+	var buf [3]sat.Lit
+	neg := buf[:0]
+	for _, l := range lits {
+		neg = append(neg, l.Not())
 	}
 	return bl.mkAnd(neg...).Not()
 }
 
-// mkXor returns a literal equivalent to a ^ b.
+// mkXor returns a literal equivalent to a ^ b. Since ¬a ^ b = ¬(a ^ b),
+// the gate is built over the positive inputs, in order, and the output
+// carries their negations.
 func (bl *Blaster) mkXor(a, c sat.Lit) sat.Lit {
 	if a == bl.lFalse {
 		return c
@@ -196,15 +273,30 @@ func (bl *Blaster) mkXor(a, c sat.Lit) sat.Lit {
 	if a == c.Not() {
 		return bl.lTrue
 	}
-	g := bl.fresh()
-	bl.S.AddClause(g.Not(), a, c)
-	bl.S.AddClause(g.Not(), a.Not(), c.Not())
-	bl.S.AddClause(g, a.Not(), c)
-	bl.S.AddClause(g, a, c.Not())
+	neg := a.Neg() != c.Neg()
+	a, c = sat.MkLit(a.Var(), false), sat.MkLit(c.Var(), false)
+	if c < a {
+		a, c = c, a
+	}
+	k := gateKey{op: smt.KXor, a: a, b: c}
+	g, ok := bl.lookup(k)
+	if !ok {
+		g = bl.fresh()
+		bl.S.AddClause(g.Not(), a, c)
+		bl.S.AddClause(g.Not(), a.Not(), c.Not())
+		bl.S.AddClause(g, a.Not(), c)
+		bl.S.AddClause(g, a, c.Not())
+		bl.gates[k] = g
+	}
+	if neg {
+		return g.Not()
+	}
 	return g
 }
 
-// mkIte returns a literal equivalent to cond ? a : b.
+// mkIte returns a literal equivalent to cond ? a : b. The gate is built
+// with a positive condition and a positive then-arm: ite(¬s, a, b) is
+// ite(s, b, a), and ite(s, ¬a, b) is ¬ite(s, a, ¬b).
 func (bl *Blaster) mkIte(cond, a, c sat.Lit) sat.Lit {
 	if cond == bl.lTrue {
 		return a
@@ -221,14 +313,29 @@ func (bl *Blaster) mkIte(cond, a, c sat.Lit) sat.Lit {
 	if a == bl.lFalse && c == bl.lTrue {
 		return cond.Not()
 	}
-	g := bl.fresh()
-	bl.S.AddClause(g.Not(), cond.Not(), a)
-	bl.S.AddClause(g.Not(), cond, c)
-	bl.S.AddClause(g, cond.Not(), a.Not())
-	bl.S.AddClause(g, cond, c.Not())
-	// Redundant but strengthens propagation.
-	bl.S.AddClause(g.Not(), a, c)
-	bl.S.AddClause(g, a.Not(), c.Not())
+	if cond.Neg() {
+		cond, a, c = cond.Not(), c, a
+	}
+	neg := a.Neg()
+	if neg {
+		a, c = a.Not(), c.Not()
+	}
+	k := gateKey{op: smt.KIte, a: cond, b: a, c: c}
+	g, ok := bl.lookup(k)
+	if !ok {
+		g = bl.fresh()
+		bl.S.AddClause(g.Not(), cond.Not(), a)
+		bl.S.AddClause(g.Not(), cond, c)
+		bl.S.AddClause(g, cond.Not(), a.Not())
+		bl.S.AddClause(g, cond, c.Not())
+		// Redundant but strengthens propagation.
+		bl.S.AddClause(g.Not(), a, c)
+		bl.S.AddClause(g, a.Not(), c.Not())
+		bl.gates[k] = g
+	}
+	if neg {
+		return g.Not()
+	}
 	return g
 }
 
@@ -583,11 +690,13 @@ func (bl *Blaster) Assert(t *smt.Term) {
 // this Blaster may hand out again: the constant-true variable, every
 // named problem variable, and every memoized encoding output (cache
 // entries are returned verbatim on a hit, so clauses added by later
-// queries can mention exactly these variables — internal gate variables
-// of an encoding are referenced only by the clauses emitted alongside
-// them). An incremental session freezes exactly this set before each
-// preprocessing round. Iteration order is unspecified; callers must be
-// order-insensitive (freezing is).
+// queries can mention exactly these variables). Any other gate variable
+// is handed out again only through the unique table, so the set is
+// complete only if ForgetGates runs between the lowering of one query
+// and the next: then an internal gate is mentioned only by clauses of
+// the query that built it. An incremental session freezes exactly this
+// set before each preprocessing round. Iteration order is unspecified;
+// callers must be order-insensitive (freezing is).
 func (bl *Blaster) EachInterfaceVar(fn func(v int)) {
 	fn(bl.lTrue.Var())
 	for _, l := range bl.boolCache {

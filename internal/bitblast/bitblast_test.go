@@ -189,39 +189,62 @@ func TestDifferentialRandomTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 150; iter++ {
 		width := []int{1, 3, 4, 8}[rng.Intn(4)]
-		b := smt.NewBuilder()
-		b.Simplify = false
-		vars := []*smt.Term{b.Var("a", width), b.Var("b", width), b.Var("c", width)}
-		term := randomTerm(rng, b, vars, width, 4)
-
-		// Pick random input values, evaluate, and assert term == value with
-		// inputs fixed: must be SAT.
-		m := smt.NewModel()
-		sub := map[string]*smt.Term{}
-		for _, v := range vars {
-			val := bv.New(width, rng.Uint64())
-			m.BVs[v.Name] = val
-			sub[v.Name] = b.Const(val)
-		}
-		want := smt.Eval(term, m)
-
-		conj := []*smt.Term{b.Eq(term, b.Const(want.V))}
-		for _, v := range vars {
-			conj = append(conj, b.Eq(v, sub[v.Name]))
-		}
-		f := b.And(conj...)
-		st, _ := solveTerm(f)
-		if st != sat.Sat {
-			t.Fatalf("iter %d: blasted semantics disagree with Eval for %s (inputs %v, want %s)",
-				iter, term, m.BVs, want)
-		}
-		// And asserting a different value must be UNSAT.
-		other := want.V.Add(bv.One(width))
-		conj[0] = b.Eq(term, b.Const(other))
-		if st, _ := solveTerm(b.And(conj...)); st != sat.Unsat {
-			t.Fatalf("iter %d: term %s solved to two values", iter, term)
-		}
+		checkBVAgainstEval(t, rng, width, 1)
 	}
+}
+
+// checkBVAgainstEval builds a random BV term of the given width over
+// three variables, fixes the variables to random values, and requires
+// the blasted term to take exactly its smt.Eval value: asserting that
+// value must be SAT, and asserting the value plus off (not a multiple
+// of 2^width) UNSAT.
+func checkBVAgainstEval(t *testing.T, rng *rand.Rand, width int, off uint64) {
+	t.Helper()
+	b := smt.NewBuilder()
+	b.Simplify = false
+	vars := []*smt.Term{b.Var("a", width), b.Var("b", width), b.Var("c", width)}
+	term := randomTerm(rng, b, vars, width, 4)
+
+	m := smt.NewModel()
+	conj := []*smt.Term{nil}
+	for _, v := range vars {
+		val := bv.New(width, rng.Uint64())
+		m.BVs[v.Name] = val
+		conj = append(conj, b.Eq(v, b.Const(val)))
+	}
+	want := smt.Eval(term, m)
+
+	conj[0] = b.Eq(term, b.Const(want.V))
+	if st, _ := solveTerm(b.And(conj...)); st != sat.Sat {
+		t.Fatalf("blasted semantics disagree with Eval for %s (inputs %v, want %s)", term, m.BVs, want)
+	}
+	other := want.V.Add(bv.New(width, off))
+	conj[0] = b.Eq(term, b.Const(other))
+	if st, _ := solveTerm(b.And(conj...)); st != sat.Unsat {
+		t.Fatalf("term %s solved to %s besides %s (inputs %v)", term, other, want, m.BVs)
+	}
+}
+
+// FuzzBitblast drives checkBVAgainstEval and checkBoolAgainstEval from
+// the fuzz input: the seed of the term generator and the input values,
+// a width from 1 to 8, the offset of the value that must be UNSAT, and
+// whether the term is a BitVec or a Bool.
+func FuzzBitblast(f *testing.F) {
+	f.Add(int64(1), uint8(7), uint64(1), false)
+	f.Add(int64(2), uint8(3), uint64(5), true)
+	f.Add(int64(42), uint8(0), uint64(1), false)
+	f.Fuzz(func(t *testing.T, seed int64, w uint8, off uint64, boolean bool) {
+		width := 1 + int(w%8)
+		rng := rand.New(rand.NewSource(seed))
+		if boolean {
+			checkBoolAgainstEval(t, rng, width)
+			return
+		}
+		if off%(1<<uint(width)) == 0 {
+			off = 1
+		}
+		checkBVAgainstEval(t, rng, width, off)
+	})
 }
 
 // randomTerm builds a random BV term of the given width and depth.
@@ -275,45 +298,53 @@ func TestDifferentialBoolTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 100; iter++ {
 		width := []int{1, 4, 8}[rng.Intn(3)]
-		b := smt.NewBuilder()
-		b.Simplify = false
-		vars := []*smt.Term{b.Var("a", width), b.Var("b", width)}
-		mk := func() *smt.Term { return randomTerm(rng, b, vars, width, 3) }
-		var f *smt.Term
-		switch rng.Intn(6) {
-		case 0:
-			f = b.Ult(mk(), mk())
-		case 1:
-			f = b.Slt(mk(), mk())
-		case 2:
-			f = b.Ule(mk(), mk())
-		case 3:
-			f = b.Sle(mk(), mk())
-		case 4:
-			f = b.Eq(mk(), mk())
-		default:
-			f = b.And(b.Ult(mk(), mk()), b.Not(b.Eq(mk(), mk())))
-		}
-		m := smt.NewModel()
-		conj := []*smt.Term{}
-		for _, v := range vars {
-			val := bv.New(width, rng.Uint64())
-			m.BVs[v.Name] = val
-			conj = append(conj, b.Eq(v, b.Const(val)))
-		}
-		want := smt.Eval(f, m).B
-		goal := f
-		if !want {
-			goal = b.Not(f)
-		}
-		conj = append(conj, goal)
-		if st, _ := solveTerm(b.And(conj...)); st != sat.Sat {
-			t.Fatalf("iter %d: bool term disagrees with Eval: %s (want %v, inputs %v)", iter, f, want, m.BVs)
-		}
-		conj[len(conj)-1] = b.Not(goal)
-		if st, _ := solveTerm(b.And(conj...)); st != sat.Unsat {
-			t.Fatalf("iter %d: bool term has two values: %s", iter, f)
-		}
+		checkBoolAgainstEval(t, rng, width)
+	}
+}
+
+// checkBoolAgainstEval builds a random comparison or connective over
+// BV terms of the given width, fixes the two variables to random values,
+// and requires SAT at the smt.Eval value and UNSAT at its negation.
+func checkBoolAgainstEval(t *testing.T, rng *rand.Rand, width int) {
+	t.Helper()
+	b := smt.NewBuilder()
+	b.Simplify = false
+	vars := []*smt.Term{b.Var("a", width), b.Var("b", width)}
+	mk := func() *smt.Term { return randomTerm(rng, b, vars, width, 3) }
+	var f *smt.Term
+	switch rng.Intn(6) {
+	case 0:
+		f = b.Ult(mk(), mk())
+	case 1:
+		f = b.Slt(mk(), mk())
+	case 2:
+		f = b.Ule(mk(), mk())
+	case 3:
+		f = b.Sle(mk(), mk())
+	case 4:
+		f = b.Eq(mk(), mk())
+	default:
+		f = b.And(b.Ult(mk(), mk()), b.Not(b.Eq(mk(), mk())))
+	}
+	m := smt.NewModel()
+	conj := []*smt.Term{}
+	for _, v := range vars {
+		val := bv.New(width, rng.Uint64())
+		m.BVs[v.Name] = val
+		conj = append(conj, b.Eq(v, b.Const(val)))
+	}
+	want := smt.Eval(f, m).B
+	goal := f
+	if !want {
+		goal = b.Not(f)
+	}
+	conj = append(conj, goal)
+	if st, _ := solveTerm(b.And(conj...)); st != sat.Sat {
+		t.Fatalf("bool term disagrees with Eval: %s (want %v, inputs %v)", f, want, m.BVs)
+	}
+	conj[len(conj)-1] = b.Not(goal)
+	if st, _ := solveTerm(b.And(conj...)); st != sat.Unsat {
+		t.Fatalf("bool term has two values: %s", f)
 	}
 }
 
@@ -381,6 +412,98 @@ func BenchmarkBlastAndSolveMulEq(b *testing.B) {
 		st, _ := solveTerm(f)
 		if st != sat.Sat {
 			b.Fatal("expected sat")
+		}
+	}
+}
+
+// TestUniqueTable builds each kind of gate a second time with its inputs
+// reordered, duplicated or negated: the second build must add no gate
+// and return the first gate's literal, or its negation where the
+// inputs' negations move to the output.
+func TestUniqueTable(t *testing.T) {
+	bl := New(sat.New())
+	x, y, z, s := bl.fresh(), bl.fresh(), bl.fresh(), bl.fresh()
+	for _, tc := range []struct {
+		name         string
+		first, again func() sat.Lit
+		negated      bool
+	}{
+		{"and", func() sat.Lit { return bl.mkAnd(x, y.Not(), z) },
+			func() sat.Lit { return bl.mkAnd(z, x, y.Not(), x) }, false},
+		{"and-true", func() sat.Lit { return bl.mkAnd(x, y) },
+			func() sat.Lit { return bl.mkAnd(y, bl.lTrue, x, y) }, false},
+		{"or", func() sat.Lit { return bl.mkOr(x, y) },
+			func() sat.Lit { return bl.mkAnd(y.Not(), x.Not()) }, true},
+		{"xor", func() sat.Lit { return bl.mkXor(x, y) },
+			func() sat.Lit { return bl.mkXor(y, x) }, false},
+		{"xor-first-negated", func() sat.Lit { return bl.mkXor(x, y) },
+			func() sat.Lit { return bl.mkXor(x.Not(), y) }, true},
+		{"xor-second-negated", func() sat.Lit { return bl.mkXor(x, y) },
+			func() sat.Lit { return bl.mkXor(y.Not(), x) }, true},
+		{"xor-both-negated", func() sat.Lit { return bl.mkXor(x, y) },
+			func() sat.Lit { return bl.mkXor(y.Not(), x.Not()) }, false},
+		{"ite-negated-condition", func() sat.Lit { return bl.mkIte(s, x, y) },
+			func() sat.Lit { return bl.mkIte(s.Not(), y, x) }, false},
+		{"ite-negated-arms", func() sat.Lit { return bl.mkIte(s, x, y) },
+			func() sat.Lit { return bl.mkIte(s, x.Not(), y.Not()) }, true},
+		{"ite-negated-all", func() sat.Lit { return bl.mkIte(s, x, y) },
+			func() sat.Lit { return bl.mkIte(s.Not(), y.Not(), x.Not()) }, true},
+	} {
+		g := tc.first()
+		before := bl.Gates
+		again := tc.again()
+		want := g
+		if tc.negated {
+			want = g.Not()
+		}
+		if again != want || bl.Gates != before {
+			t.Errorf("%s: built %v with %d new gates, want %v with none", tc.name, again, bl.Gates-before, want)
+		}
+	}
+	if bl.mkAnd(x, y, x.Not()) != bl.lFalse {
+		t.Error("and of a complementary pair did not fold to false")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		bl.mkAnd(z, x, y.Not())
+		bl.mkOr(y, x)
+		bl.mkXor(y.Not(), x)
+		bl.mkIte(s.Not(), y, x)
+	}); n != 0 {
+		t.Errorf("unique-table hits allocated %v times per run, want 0", n)
+	}
+}
+
+// TestSharedProductCheck lowers the i8 check zext(x)·zext(y) =
+// zext(x·y) at i16. The narrow product is the low half of the wide one,
+// gate for gate, so it must add no gate of its own, and its eight
+// low-bit comparisons must fold to true.
+func TestSharedProductCheck(t *testing.T) {
+	b := smt.NewBuilder()
+	b.Simplify = false
+	x, y := b.Var("x", 8), b.Var("y", 8)
+	wide := b.Mul(b.ZExt(x, 16), b.ZExt(y, 16))
+	narrow := b.ZExt(b.Mul(x, y), 16)
+	gates := func(terms ...*smt.Term) (*Blaster, int) {
+		bl := New(sat.New())
+		for _, term := range terms {
+			if term.IsBool() {
+				bl.Lit(term)
+			} else {
+				bl.Bits(term)
+			}
+		}
+		return bl, bl.Gates
+	}
+	_, wideGates := gates(wide)
+	_, narrowGates := gates(narrow)
+	bl, checkGates := gates(b.Eq(wide, narrow))
+	t.Logf("wide product %d gates, narrow %d, check %d", wideGates, narrowGates, checkGates)
+	if checkGates >= wideGates+narrowGates {
+		t.Errorf("check lowered to %d gates, want fewer than the two products' %d", checkGates, wideGates+narrowGates)
+	}
+	for i := 0; i < 8; i++ {
+		if l := bl.Lit(b.Eq(b.Extract(wide, i, i), b.Extract(narrow, i, i))); l != bl.lTrue {
+			t.Errorf("bit %d of the two products compares as %v, want true", i, l)
 		}
 	}
 }

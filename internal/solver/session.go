@@ -21,6 +21,13 @@
 // (forever-anonymous) variables, so the simplifications stay sound when
 // new clauses arrive and core models are exact on every variable the
 // verifier reads, with no reconstruction replay.
+//
+// The same argument fixes the scope of the bit-blaster's unique table
+// (structural hashing): a gate found there is handed out again, so the
+// table may hold only gates no preprocessing round has seen yet. Each
+// solve empties it before lowering its query. Within a query the gates
+// are shared freely, since the whole query is lowered before it is
+// preprocessed; across queries only the frozen term-cache outputs are.
 package solver
 
 import (
@@ -329,7 +336,8 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula *smt.Term)
 	core.Stop, bl.Stop = s.Stop, s.Stop
 
 	bspan := qspan.Child("bitblast", "bitblast")
-	hitsBefore := bl.Hits
+	hitsBefore, sharedBefore := bl.Hits, bl.Shared
+	bl.ForgetGates()
 	vcLit, stopped := lowerStopped(bl, formula)
 	if stopped {
 		bspan.End()
@@ -351,6 +359,7 @@ func (s *Solver) solve(qspan *telemetry.Span, b *smt.Builder, formula *smt.Term)
 		bspan.SetInt("bool_terms", int64(bst.BoolTerms))
 		bspan.SetInt("bv_terms", int64(bst.BVTerms))
 		bspan.SetInt("encoding_hits", bl.Hits-hitsBefore)
+		bspan.SetInt("gates_shared", bl.Shared-sharedBefore)
 		bspan.End()
 	}
 

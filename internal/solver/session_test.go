@@ -72,6 +72,52 @@ func TestSessionAgreesWithFreshSolver(t *testing.T) {
 	}
 }
 
+// TestSessionRebuildsGatesEachQuery checks the unique table's scope.
+// Query 1 lowers an i8 product, and preprocessing eliminates some of
+// its internal gates. Query 2 lowers the i16 product of the
+// zero-extended operands, whose low half is the i8 product gate for
+// gate and whose high half is built on the i8 product's internal
+// carries. Had the table kept query 1's gates, query 2 would reuse them
+// and add clauses over eliminated variables; it must build the whole
+// product afresh and answer as a fresh solver does.
+func TestSessionRebuildsGatesEachQuery(t *testing.T) {
+	b := smt.NewBuilder()
+	x, y := b.Var("x", 8), b.Var("y", 8)
+	wide := b.Mul(b.ZExt(x, 16), b.ZExt(y, 16))
+	bodies := []*smt.Term{
+		b.Eq(b.Mul(x, y), b.ConstUint(8, 42)),
+		b.Not(b.Eq(wide, b.ZExt(b.Mul(x, y), 16))),
+	}
+	alone := bitblast.New(sat.New())
+	alone.Bits(wide)
+
+	var sess Solver
+	for i, body := range bodies {
+		gates := 0
+		if sess.sess != nil {
+			gates = sess.sess.bl.Gates
+		}
+		inc := sess.Check(b, body)
+		var fresh Solver
+		if dir := fresh.Check(b, body); inc.Status != dir.Status {
+			t.Fatalf("query %d: %v shared session, %v fresh solver", i, inc.Status, dir.Status)
+		}
+		if inc.Status != Sat || !smt.Eval(body, inc.Model).B {
+			t.Fatalf("query %d: %v, want a model of the query", i, inc.Status)
+		}
+		switch i {
+		case 0:
+			if sess.Stats.VarsEliminated == 0 {
+				t.Fatal("query 1: preprocessing eliminated no gate")
+			}
+		case 1:
+			if added := sess.sess.bl.Gates - gates; added < alone.Gates {
+				t.Fatalf("query 2 added %d gates, fewer than the i16 product's %d", added, alone.Gates)
+			}
+		}
+	}
+}
+
 // TestSessionStopMidSolve stops a session in the middle of a hard warm
 // solve: the in-flight query and every later one must come back as a
 // structured Unknown (stopped) promptly, with no panic and no hang.
