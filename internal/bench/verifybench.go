@@ -139,6 +139,16 @@ func VerifyBench(cfg *Config) string {
 	var sb strings.Builder
 	sb.WriteString("Verify: corpus verification perf baseline (BENCH_verify.json)\n\n")
 
+	// Load the baseline before the run writes anything: with
+	// -artifacts pointing where the baseline lives, the run's own report
+	// would otherwise replace it and the run would be compared with
+	// itself.
+	var base *VerifyReport
+	var baseErr error
+	if cfg.Baseline != "" {
+		base, baseErr = LoadVerifyReport(cfg.Baseline)
+	}
+
 	ts := suite.ParseAll()
 
 	// Journal the run, then replay it: the replay's resumed count proves
@@ -233,10 +243,9 @@ func VerifyBench(cfg *Config) string {
 	}
 
 	if cfg.Baseline != "" {
-		base, err := LoadVerifyReport(cfg.Baseline)
-		if err != nil {
-			fmt.Fprintf(&sb, "\nbaseline: %v\n", err)
-			cfg.Failures = append(cfg.Failures, fmt.Sprintf("verify: %v", err))
+		if baseErr != nil {
+			fmt.Fprintf(&sb, "\nbaseline: %v\n", baseErr)
+			cfg.Failures = append(cfg.Failures, fmt.Sprintf("verify: %v", baseErr))
 			return sb.String()
 		}
 		tol := cfg.Tolerance

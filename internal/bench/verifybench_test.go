@@ -270,3 +270,33 @@ func TestCompareVerifyReportsNearZeroSlack(t *testing.T) {
 		t.Fatalf("near-zero counter motion flagged: %v", fails)
 	}
 }
+
+// TestVerifyBenchBaselineInArtifactDir points the artifact directory at
+// the baseline's own file, as `alive-bench -experiment verify -artifacts
+// . -baseline BENCH_verify.json` does. The baseline on disk has its
+// conflicts halved, so the run must fail against it; a run that wrote
+// its report before loading the baseline would compare with itself and
+// pass.
+func TestVerifyBenchBaselineInArtifactDir(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_verify.json")
+	cfg := &Config{Widths: []int{4}, Jobs: 1, ArtifactDir: dir}
+	VerifyBench(cfg)
+	if len(cfg.Failures) != 0 {
+		t.Fatalf("first run failed: %v", cfg.Failures)
+	}
+	rep, err := LoadVerifyReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Counters.Conflicts /= 2
+	if err := WriteVerifyReport(path, rep); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg = &Config{Widths: []int{4}, Jobs: 1, ArtifactDir: dir, Baseline: path}
+	out := VerifyBench(cfg)
+	if !slices.ContainsFunc(cfg.Failures, func(f string) bool { return strings.Contains(f, "conflicts") }) {
+		t.Fatalf("a run against a baseline with half its conflicts passed:\n%s", out)
+	}
+}

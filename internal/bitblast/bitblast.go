@@ -33,7 +33,8 @@ type ClauseDB interface {
 	// NewVar allocates a fresh 1-based variable.
 	NewVar() int
 	// AddClause adds a clause; it returns false once the database is
-	// known unsatisfiable at the root.
+	// known unsatisfiable at the root. It must copy what it keeps of
+	// lits: the Blaster reuses the slice for its next clause.
 	AddClause(lits ...sat.Lit) bool
 	// NumVars and NumClauses report the database size for telemetry.
 	NumVars() int
@@ -60,6 +61,9 @@ type Blaster struct {
 
 	lTrue  sat.Lit
 	lFalse sat.Lit
+
+	// clause holds the clause addClause is handing to S.
+	clause []sat.Lit
 
 	stopOps int // cache-miss lowerings since the last Stop poll
 
@@ -138,6 +142,14 @@ func New(s ClauseDB) *Blaster {
 	return bl
 }
 
+// addClause adds a gate's clause through a buffer the Blaster owns: a
+// variadic call through the interface would move every argument list
+// to the heap.
+func (bl *Blaster) addClause(lits ...sat.Lit) {
+	bl.clause = append(bl.clause[:0], lits...)
+	bl.S.AddClause(bl.clause...)
+}
+
 func (bl *Blaster) fresh() sat.Lit {
 	bl.Gates++
 	return sat.MkLit(bl.S.NewVar(), false)
@@ -163,13 +175,14 @@ func (bl *Blaster) lookup(k gateKey) (sat.Lit, bool) {
 	return g, ok
 }
 
-// ForgetGates empties the unique table, so later lowerings build fresh
-// gates instead of returning ones built so far. A gate variable that is
-// not an interface variable (see EachInterfaceVar) may be eliminated
-// once the clauses that define it are preprocessed, and then no later
-// clause may mention it, so a session calls this before each query.
+// ForgetGates empties the unique table, keeping its storage for the
+// next query, so later lowerings build fresh gates instead of returning
+// ones built so far. A gate variable that is not an interface variable
+// (see EachInterfaceVar) may be eliminated once the clauses that define
+// it are preprocessed, and then no later clause may mention it, so a
+// session calls this before each query.
 func (bl *Blaster) ForgetGates() {
-	bl.gates = map[gateKey]sat.Lit{}
+	clear(bl.gates)
 }
 
 // constLit returns the literal for a Boolean constant.
@@ -230,13 +243,15 @@ func (bl *Blaster) mkAnd(lits ...sat.Lit) sat.Lit {
 	}
 	g := bl.fresh()
 	// g -> each l ; (all l) -> g
-	long := make([]sat.Lit, 0, len(in)+1)
 	for _, l := range in {
-		bl.S.AddClause(g.Not(), l)
+		bl.addClause(g.Not(), l)
+	}
+	long := bl.clause[:0]
+	for _, l := range in {
 		long = append(long, l.Not())
 	}
-	long = append(long, g)
-	bl.S.AddClause(long...)
+	bl.clause = append(long, g)
+	bl.S.AddClause(bl.clause...)
 	bl.gates[k] = g
 	return g
 }
@@ -282,10 +297,10 @@ func (bl *Blaster) mkXor(a, c sat.Lit) sat.Lit {
 	g, ok := bl.lookup(k)
 	if !ok {
 		g = bl.fresh()
-		bl.S.AddClause(g.Not(), a, c)
-		bl.S.AddClause(g.Not(), a.Not(), c.Not())
-		bl.S.AddClause(g, a.Not(), c)
-		bl.S.AddClause(g, a, c.Not())
+		bl.addClause(g.Not(), a, c)
+		bl.addClause(g.Not(), a.Not(), c.Not())
+		bl.addClause(g, a.Not(), c)
+		bl.addClause(g, a, c.Not())
 		bl.gates[k] = g
 	}
 	if neg {
@@ -324,13 +339,13 @@ func (bl *Blaster) mkIte(cond, a, c sat.Lit) sat.Lit {
 	g, ok := bl.lookup(k)
 	if !ok {
 		g = bl.fresh()
-		bl.S.AddClause(g.Not(), cond.Not(), a)
-		bl.S.AddClause(g.Not(), cond, c)
-		bl.S.AddClause(g, cond.Not(), a.Not())
-		bl.S.AddClause(g, cond, c.Not())
+		bl.addClause(g.Not(), cond.Not(), a)
+		bl.addClause(g.Not(), cond, c)
+		bl.addClause(g, cond.Not(), a.Not())
+		bl.addClause(g, cond, c.Not())
 		// Redundant but strengthens propagation.
-		bl.S.AddClause(g.Not(), a, c)
-		bl.S.AddClause(g, a.Not(), c.Not())
+		bl.addClause(g.Not(), a, c)
+		bl.addClause(g, a.Not(), c.Not())
 		bl.gates[k] = g
 	}
 	if neg {

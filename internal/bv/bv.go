@@ -132,6 +132,9 @@ func (x Vec) SignBit() uint { return x.Bit(x.width - 1) }
 // Uint64 returns the low 64 bits of x as an unsigned integer.
 func (x Vec) Uint64() uint64 { return x.words[0] }
 
+// Word returns bits 64i to 64i+63 of x; i must be below (Width+63)/64.
+func (x Vec) Word(i int) uint64 { return x.words[i] }
+
 // Int64 returns the value of x sign-extended to 64 bits. It panics if the
 // width exceeds 64 (use only when Width <= 64).
 func (x Vec) Int64() int64 {

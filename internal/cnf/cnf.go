@@ -14,13 +14,19 @@
 // sessions freeze every variable the verifier reads back.
 package cnf
 
-import "alive/internal/sat"
+import (
+	"slices"
+
+	"alive/internal/sat"
+)
 
 // clause is a stored clause plus a 64-bit signature over its literals
 // (a bloom filter: sig(C) ⊆ sig(D) is necessary for C ⊆ D, so most
 // subsumption candidates are rejected without touching the literals).
 // The signature machinery itself lives in internal/sat (sat.LitSig,
-// sat.ComputeSig).
+// sat.ComputeSig). Clauses are stored by value in Formula.clauses, and
+// lits is a window of one chunk of the formula's literal arena, capped
+// at its own length so that no append can reach a neighbour.
 type clause struct {
 	lits    []sat.Lit
 	sig     uint64
@@ -43,8 +49,13 @@ func computeSig(lits []sat.Lit) uint64 { return sat.ComputeSig(lits) }
 // either.
 type Formula struct {
 	nvars   int
-	clauses []*clause
+	clauses []clause
 	live    int
+	// arena is the chunk of literal storage that AddClause fills. A
+	// clause's literals never move: when a clause does not fit, a new
+	// chunk starts and the full one stays with the clauses that point
+	// into it.
+	arena []sat.Lit
 	// value is the root-level assignment, 1-indexed: 0 unknown, 1 true,
 	// -1 false.
 	value []int8
@@ -96,6 +107,7 @@ type Formula struct {
 	occ       [][]int
 	stale     []bool
 	staleLits []sat.Lit
+	occSlab   []int // see addOcc
 }
 
 // NewFormula returns an empty formula.
@@ -175,14 +187,27 @@ func (f *Formula) assign(l sat.Lit) bool {
 	return true
 }
 
+// Chunk sizes of the literal arena, in literals: the first chunk is
+// small, for the many small formulas, and each next one doubles up to
+// the largest.
+const (
+	minChunk = 256
+	maxChunk = 1 << 16
+)
+
 // AddClause adds a clause, simplifying against the root assignment. It
 // returns false once the formula is known unsatisfiable (matching
-// sat.Solver.AddClause).
+// sat.Solver.AddClause). The kept literals are written straight into the
+// arena's free tail, and a clause that is dropped leaves it free.
 func (f *Formula) AddClause(lits ...sat.Lit) bool {
 	if !f.ok {
 		return false
 	}
-	out := make([]sat.Lit, 0, len(lits))
+	if cap(f.arena)-len(f.arena) < len(lits) {
+		f.arena = make([]sat.Lit, 0, max(len(lits), minChunk, min(2*cap(f.arena), maxChunk)))
+	}
+	start := len(f.arena)
+	out := f.arena[start:start]
 	var seen uint64
 	for _, l := range lits {
 		if f.elim[l.Var()] {
@@ -223,21 +248,51 @@ func (f *Formula) AddClause(lits ...sat.Lit) bool {
 	case 1:
 		return f.assign(out[0])
 	}
-	f.clauses = append(f.clauses, &clause{lits: out, sig: computeSig(out)})
+	f.arena = f.arena[:start+len(out)]
+	out = f.arena[start:len(f.arena):len(f.arena)]
+	if len(f.clauses) == cap(f.clauses) {
+		// Double, where append would grow a long slice by a quarter
+		// and copy it five times as often.
+		f.clauses = slices.Grow(f.clauses, max(len(f.clauses), 64))
+	}
+	f.clauses = append(f.clauses, clause{lits: out, sig: computeSig(out)})
 	f.live++
 	if f.occ != nil {
 		ci := len(f.clauses) - 1
 		for _, l := range out {
-			f.occ[l] = append(f.occ[l], ci)
+			f.addOcc(l, ci)
 		}
 	}
 	return true
 }
 
+// Occurrence lists with no storage yet start with room for occInit
+// entries, cut from slabs of occSlabLen.
+const (
+	occInit    = 4
+	occSlabLen = 1024
+)
+
+// addOcc appends clause ci to l's occurrence list. A list without
+// storage (a variable made since the index was built, or a literal
+// whose clauses buildOcc found none of) starts in a window of occSlab,
+// so a warm session's new variables cost no allocation per list.
+func (f *Formula) addOcc(l sat.Lit, ci int) {
+	lst := f.occ[l]
+	if cap(lst) == 0 {
+		if len(f.occSlab) < occInit {
+			f.occSlab = make([]int, occSlabLen)
+		}
+		lst = f.occSlab[:0:occInit]
+		f.occSlab = f.occSlab[occInit:]
+	}
+	f.occ[l] = append(lst, ci)
+}
+
 // markDirty queues the loaded clause at index ci for re-sending: it was
 // strengthened after the core received it.
 func (f *Formula) markDirty(ci int) {
-	c := f.clauses[ci]
+	c := &f.clauses[ci]
 	if !c.dirty {
 		c.dirty = true
 		f.dirtyIdx = append(f.dirtyIdx, ci)
@@ -261,7 +316,7 @@ func (f *Formula) LoadDelta(core *sat.Solver) {
 		core.AddClause(f.trailOut[f.sentUnits])
 	}
 	for _, ci := range f.dirtyIdx {
-		c := f.clauses[ci]
+		c := &f.clauses[ci]
 		c.dirty = false
 		if !c.deleted {
 			core.AddClause(c.lits...)
@@ -269,7 +324,7 @@ func (f *Formula) LoadDelta(core *sat.Solver) {
 	}
 	f.dirtyIdx = f.dirtyIdx[:0]
 	for ; f.sentClauses < len(f.clauses); f.sentClauses++ {
-		c := f.clauses[f.sentClauses]
+		c := &f.clauses[f.sentClauses]
 		if c.deleted {
 			continue
 		}

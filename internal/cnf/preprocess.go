@@ -83,6 +83,8 @@ type prep struct {
 	// one ends; both are reused from one candidate to the next.
 	resolvents    []sat.Lit
 	resolventEnds []int
+	// queue is subsume's work list, reused from one round to the next.
+	queue []int
 }
 
 // Preprocess runs the pass pipeline over f in place to a fixpoint (or
@@ -103,8 +105,8 @@ func Preprocess(f *Formula, opts Options) *Result {
 		// earlier calls, so effort follows what arrived since, and each
 		// query of a long session pays for its own clauses.
 		delta := int64(0)
-		for _, c := range f.clauses[f.sentClauses:] {
-			if !c.deleted {
+		for i := f.sentClauses; i < len(f.clauses); i++ {
+			if c := &f.clauses[i]; !c.deleted {
 				delta += int64(len(c.lits))
 			}
 		}
@@ -151,16 +153,39 @@ func Preprocess(f *Formula, opts Options) *Result {
 	if warm {
 		f.compactOcc()
 	} else {
-		f.occ, f.stale = nil, nil
+		f.occ, f.stale, f.occSlab = nil, nil, nil
 	}
 	return res
 }
 
-// buildOcc builds the occurrence index from the live clauses.
+// buildOcc builds the occurrence index from the live clauses in one
+// counted pass: it counts each literal's occurrences, gives each list
+// its exact window of one shared array, and fills the lists in index
+// order. A window's capacity ends where the next list's begins, so an
+// entry added later moves that list out rather than overwrite another.
 func (f *Formula) buildOcc() {
-	f.occ = make([][]int, 2*(f.nvars+1))
-	f.stale = make([]bool, 2*(f.nvars+1))
-	for ci, c := range f.clauses {
+	n := 2 * (f.nvars + 1)
+	start := make([]int, n+1)
+	for ci := range f.clauses {
+		c := &f.clauses[ci]
+		if c.deleted {
+			continue
+		}
+		for _, l := range c.lits {
+			start[l+1]++
+		}
+	}
+	for l := 1; l <= n; l++ {
+		start[l] += start[l-1]
+	}
+	all := make([]int, start[n])
+	f.occ = make([][]int, n)
+	for l := range f.occ {
+		f.occ[l] = all[start[l]:start[l]:start[l+1]]
+	}
+	f.stale = make([]bool, n)
+	for ci := range f.clauses {
+		c := &f.clauses[ci]
 		if c.deleted {
 			continue
 		}
@@ -200,7 +225,7 @@ func (f *Formula) occList(l sat.Lit) []int {
 	f.stale[l] = false
 	out := lst[:0]
 	for _, ci := range lst {
-		c := f.clauses[ci]
+		c := &f.clauses[ci]
 		if c.deleted || !contains(c.lits, l) {
 			continue
 		}
@@ -263,10 +288,10 @@ func (p *prep) saturate() {
 		p.stats.Units++
 		for _, ci := range f.occList(l) {
 			p.spend(1)
-			p.delete(f.clauses[ci])
+			p.delete(&f.clauses[ci])
 		}
 		for _, ci := range f.occList(l.Not()) {
-			c := f.clauses[ci]
+			c := &f.clauses[ci]
 			p.spend(len(c.lits))
 			p.strip(c, l.Not())
 			if len(c.lits) == 1 {
@@ -290,18 +315,18 @@ func (p *prep) saturate() {
 func (p *prep) subsume() int64 {
 	f := p.f
 	changed := int64(0)
-	queue := make([]int, 0, len(f.clauses)-f.sentClauses)
+	p.queue = p.queue[:0]
 	for ci := f.sentClauses; ci < len(f.clauses); ci++ {
 		if !f.clauses[ci].deleted {
-			queue = append(queue, ci)
+			p.queue = append(p.queue, ci)
 		}
 	}
-	for qi := 0; qi < len(queue); qi++ {
+	for qi := 0; qi < len(p.queue); qi++ {
 		if !f.ok || p.halted() {
 			break
 		}
-		ci := queue[qi]
-		c := f.clauses[ci]
+		ci := p.queue[qi]
+		c := &f.clauses[ci]
 		if c.deleted {
 			continue
 		}
@@ -320,7 +345,7 @@ func (p *prep) subsume() int64 {
 				if c.deleted || !f.ok {
 					break
 				}
-				d := f.clauses[di]
+				d := &f.clauses[di]
 				if di == ci || d.deleted || len(d.lits) < len(c.lits) {
 					continue
 				}
@@ -350,7 +375,7 @@ func (p *prep) subsume() int64 {
 					if di < f.sentClauses {
 						f.markDirty(di)
 					}
-					queue = append(queue, di)
+					p.queue = append(p.queue, di)
 				}
 			}
 		}
@@ -456,7 +481,7 @@ func (p *prep) eliminate() int64 {
 		feasible := true
 		for _, pi := range pos {
 			for _, ni := range neg {
-				cp, cn := f.clauses[pi], f.clauses[ni]
+				cp, cn := &f.clauses[pi], &f.clauses[ni]
 				p.spend(len(cp.lits) + len(cn.lits))
 				var ok bool
 				p.resolvents, ok = resolve(p.resolvents, cp.lits, cn.lits, v)
@@ -477,10 +502,10 @@ func (p *prep) eliminate() int64 {
 			continue
 		}
 		for _, ci := range pos {
-			p.delete(f.clauses[ci])
+			p.delete(&f.clauses[ci])
 		}
 		for _, ci := range neg {
-			p.delete(f.clauses[ci])
+			p.delete(&f.clauses[ci])
 		}
 		f.occ[lp] = nil
 		f.occ[ln] = nil
@@ -514,7 +539,7 @@ func (p *prep) blocked() int64 {
 		if !f.ok || p.halted() {
 			break
 		}
-		c := f.clauses[ci]
+		c := &f.clauses[ci]
 		if c.deleted {
 			continue
 		}
@@ -528,7 +553,7 @@ func (p *prep) blocked() int64 {
 			}
 			isBlocked := true
 			for _, di := range f.occList(l.Not()) {
-				d := f.clauses[di]
+				d := &f.clauses[di]
 				p.spend(len(d.lits))
 				if !tautResolvent(c.lits, d.lits, l) {
 					isBlocked = false

@@ -57,6 +57,10 @@ func ParseFile(path string) ([]*ir.Transform, error) {
 type parser struct {
 	toks []token
 	pos  int
+	// err is the first error found inside a construct that cannot return
+	// one (an over-wide integer type); parseFile reports it in place of
+	// whatever the rest of the transform parses to.
+	err error
 
 	// Per-transform state.
 	srcDefs  map[string]ir.Value
@@ -102,6 +106,9 @@ func (p *parser) parseFile() ([]*ir.Transform, error) {
 			return out, nil
 		}
 		t, err := p.parseTransform()
+		if p.err != nil {
+			return nil, p.err
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -253,14 +260,28 @@ func (p *parser) lookupConst(name string) *ir.AbstractConst {
 	return c
 }
 
+// maxIntBits is the widest integer type the parser accepts, LLVM's
+// IntegerType::MAX_INT_BITS. Every later stage is at least linear in a
+// width, and bit-blasting is worse, so a wider type is an error here
+// rather than a hang there.
+const maxIntBits = 1 << 23
+
 // tryParseType parses a type if the next tokens form one: iN, iN*...*,
-// [n x type]. Returns nil without consuming otherwise.
+// [n x type]. Returns nil without consuming otherwise. An iN wider than
+// maxIntBits sets p.err and parses as i1.
 func (p *parser) tryParseType() ir.Type {
 	switch p.cur().kind {
 	case tIdent:
 		text := p.cur().text
-		if len(text) >= 2 && text[0] == 'i' {
-			if bits, err := strconv.Atoi(text[1:]); err == nil && bits > 0 {
+		if len(text) >= 2 && text[0] == 'i' && strings.Trim(text[1:], "0123456789") == "" {
+			bits, err := strconv.Atoi(text[1:])
+			if err != nil || bits > maxIntBits {
+				if p.err == nil {
+					p.err = p.errorf("integer type %s is wider than %d bits", text, maxIntBits)
+				}
+				bits = 1
+			}
+			if bits > 0 {
 				p.next()
 				var typ ir.Type = ir.IntType{Bits: bits}
 				for p.cur().kind == tStar {

@@ -3,6 +3,7 @@ package parser
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"alive/internal/ir"
 )
@@ -72,5 +73,41 @@ func TestProgrammaticZeroPos(t *testing.T) {
 	}
 	if got := tr.DeclPos.String(); got != "?" {
 		t.Fatalf("zero pos renders %q, want ?", got)
+	}
+}
+
+// TestIntegerTypeWidthLimit checks that an integer type wider than
+// LLVM's IntegerType::MAX_INT_BITS (2^23) is a positioned parse error,
+// found at once, while the widest legal type still parses. Such a width
+// used to reach the solver and build a constant no deadline could wait
+// for.
+func TestIntegerTypeWidthLimit(t *testing.T) {
+	for _, c := range []struct {
+		name, src, wantPos string
+	}{
+		{"fuzzer input", "%r = shl i999999998 %x, 4\n=>\n%r = %x\n", "line 1:10:"},
+		{"one past the limit", "Name: w\n%r = add i8388609 %x, 0\n=>\n%r = %x\n", "line 2:10:"},
+		{"beyond int", "%r = add %x, 0\n=>\n%r = add i99999999999999999999 %x, 0\n", "line 3:10:"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			start := time.Now()
+			_, err := Parse(c.src)
+			if err == nil {
+				t.Fatal("expected an error")
+			}
+			if !strings.Contains(err.Error(), c.wantPos) || !strings.Contains(err.Error(), "wider than 8388608 bits") {
+				t.Fatalf("error %q, want position %q and the limit", err, c.wantPos)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("took %v", d)
+			}
+		})
+	}
+	tr, err := ParseOne("%r = add i8388608 %x, 0\n=>\n%r = %x\n")
+	if err != nil {
+		t.Fatalf("widest legal type: %v", err)
+	}
+	if typ := tr.Source[0].(*ir.BinOp).DeclaredType; typ != (ir.IntType{Bits: 1 << 23}) {
+		t.Fatalf("widest legal type parsed as %v", typ)
 	}
 }

@@ -139,6 +139,10 @@ type Solver struct {
 	// reading a literal's value is one load with no branch on polarity.
 	vals    []Value
 	watches [][]watcher
+	// watchSlab is carved into the first storage of each watch list, so
+	// a list of up to watchInit watchers costs no allocation of its own;
+	// a list that outgrows its window moves to an array of its own.
+	watchSlab []watcher
 
 	// arena stores every clause (see cref); arena[0] pads offset 0.
 	// metas holds the learnt clauses' metadata, and wasted counts the
@@ -397,9 +401,28 @@ func (s *Solver) newLearnt(lits []Lit, m clauseMeta) cref {
 
 func (s *Solver) attach(c cref) {
 	lits := s.lits(c)
-	w0, w1 := lits[0].Not(), lits[1].Not()
-	s.watches[w0] = append(s.watches[w0], watcher{c, lits[1]})
-	s.watches[w1] = append(s.watches[w1], watcher{c, lits[0]})
+	s.watch(lits[0].Not(), watcher{c, lits[1]})
+	s.watch(lits[1].Not(), watcher{c, lits[0]})
+}
+
+// Watch lists start with room for watchInit watchers, cut from slabs of
+// watchSlabLen.
+const (
+	watchInit    = 4
+	watchSlabLen = 1024
+)
+
+// watch appends w to the watch list of l.
+func (s *Solver) watch(l Lit, w watcher) {
+	ws := s.watches[l]
+	if cap(ws) == 0 {
+		if len(s.watchSlab) < watchInit {
+			s.watchSlab = make([]watcher, watchSlabLen)
+		}
+		ws = s.watchSlab[:0:watchInit]
+		s.watchSlab = s.watchSlab[watchInit:]
+	}
+	s.watches[l] = append(ws, w)
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
@@ -446,8 +469,7 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(lits); k++ {
 				if s.value(lits[k]) != False {
 					lits[1], lits[k] = lits[k], lits[1]
-					nw := lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{c, first})
+					s.watch(lits[1].Not(), watcher{c, first})
 					continue nextWatcher
 				}
 			}

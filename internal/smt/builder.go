@@ -1,8 +1,10 @@
 package smt
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"alive/internal/bv"
@@ -12,7 +14,7 @@ import (
 // expression must come from the same Builder. Builders are not safe for
 // concurrent use.
 type Builder struct {
-	cache  map[string]*Term
+	cache  map[key]*Term
 	nextID uint64
 	// Simplify controls constructor-time simplification (constant folding
 	// and algebraic identities). On by default; the ablation benchmark
@@ -22,40 +24,84 @@ type Builder struct {
 
 // NewBuilder returns an empty Builder with simplification enabled.
 func NewBuilder() *Builder {
-	return &Builder{cache: map[string]*Term{}, Simplify: true}
+	return &Builder{cache: map[key]*Term{}, Simplify: true}
 }
 
-func (b *Builder) intern(t *Term) *Term {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:%d", t.Kind, t.Width)
-	switch t.Kind {
-	case KBoolConst:
-		fmt.Fprintf(&sb, ":%v", t.BVal)
+// key is a term's structure: two terms of one Builder are the same term
+// exactly when their keys are equal. Everything a term is made of fits
+// in the inline fields except a constant wider than 64 bits, a
+// variable's name and the arguments past the third, which go to rest:
+// the constant as its little-endian words, each argument as its ID in
+// eight bytes. A term has at most one of the three, so they never share
+// rest; argument IDs start at 1, so a zero in args means "no argument".
+type key struct {
+	kind   Kind
+	bval   bool
+	width  int
+	hi, lo int
+	val    uint64
+	args   [3]uint64
+	rest   string
+}
+
+// intern returns the term with n's own fields and the arguments args,
+// making it when the Builder has none yet. n carries no arguments; a new
+// term gets a copy of args, so a hit allocates nothing (callers' argument
+// lists stay on their stacks). IDs count the terms made, in order.
+func (b *Builder) intern(n Term, args ...*Term) *Term {
+	k := key{kind: n.Kind, bval: n.BVal, width: n.Width, hi: n.Hi, lo: n.Lo}
+	var rest strings.Builder
+	switch n.Kind {
 	case KBVConst:
-		sb.WriteByte(':')
-		sb.WriteString(t.Val.String())
+		if n.Width <= 64 {
+			k.val = n.Val.Uint64()
+		} else {
+			words := (n.Width + 63) / 64
+			rest.Grow(8 * words)
+			for i := 0; i < words; i++ {
+				writeWord(&rest, n.Val.Word(i))
+			}
+		}
 	case KVar:
-		sb.WriteByte(':')
-		sb.WriteString(t.Name)
-	case KExtract:
-		fmt.Fprintf(&sb, ":%d:%d", t.Hi, t.Lo)
+		k.rest = n.Name
 	}
-	for _, a := range t.Args {
-		fmt.Fprintf(&sb, ",%d", a.id)
+	for i, a := range args {
+		if i < len(k.args) {
+			k.args[i] = a.id
+			continue
+		}
+		if i == len(k.args) {
+			rest.Grow(8 * (len(args) - i))
+		}
+		writeWord(&rest, a.id)
 	}
-	key := sb.String()
-	if u, ok := b.cache[key]; ok {
-		return u
+	if rest.Len() > 0 {
+		k.rest = rest.String()
+	}
+	if t, ok := b.cache[k]; ok {
+		return t
+	}
+	t := new(Term)
+	*t = n
+	if len(args) > 0 {
+		t.Args = slices.Clone(args)
 	}
 	b.nextID++
 	t.id = b.nextID
-	b.cache[key] = t
+	b.cache[k] = t
 	return t
+}
+
+// writeWord appends w to sb as eight little-endian bytes.
+func writeWord(sb *strings.Builder, w uint64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], w)
+	sb.Write(buf[:])
 }
 
 // Bool returns the Bool constant v.
 func (b *Builder) Bool(v bool) *Term {
-	return b.intern(&Term{Kind: KBoolConst, BVal: v})
+	return b.intern(Term{Kind: KBoolConst, BVal: v})
 }
 
 // True returns the constant true.
@@ -66,7 +112,7 @@ func (b *Builder) False() *Term { return b.Bool(false) }
 
 // Const returns the BitVec constant v.
 func (b *Builder) Const(v bv.Vec) *Term {
-	return b.intern(&Term{Kind: KBVConst, Width: v.Width(), Val: v})
+	return b.intern(Term{Kind: KBVConst, Width: v.Width(), Val: v})
 }
 
 // ConstUint returns a BitVec constant of the given width holding v.
@@ -85,12 +131,12 @@ func (b *Builder) Var(name string, width int) *Term {
 	if width <= 0 {
 		panic("smt: Var needs positive width; use BoolVar")
 	}
-	return b.intern(&Term{Kind: KVar, Width: width, Name: name})
+	return b.intern(Term{Kind: KVar, Width: width, Name: name})
 }
 
 // BoolVar returns the Bool variable of the given name.
 func (b *Builder) BoolVar(name string) *Term {
-	return b.intern(&Term{Kind: KVar, Name: name})
+	return b.intern(Term{Kind: KVar, Name: name})
 }
 
 func mustBool(t *Term) {
@@ -122,12 +168,13 @@ func (b *Builder) Not(x *Term) *Term {
 			return x.Args[0]
 		}
 	}
-	return b.intern(&Term{Kind: KNot, Args: []*Term{x}})
+	return b.intern(Term{Kind: KNot}, x)
 }
 
 // And returns the conjunction of xs (true when empty).
 func (b *Builder) And(xs ...*Term) *Term {
-	var flat []*Term
+	var buf [8]*Term
+	flat := buf[:0]
 	seen := map[uint64]bool{}
 	for _, x := range xs {
 		mustBool(x)
@@ -169,12 +216,13 @@ func (b *Builder) And(xs ...*Term) *Term {
 		return flat[0]
 	}
 	sortByID(flat)
-	return b.intern(&Term{Kind: KAnd, Args: flat})
+	return b.intern(Term{Kind: KAnd}, flat...)
 }
 
 // Or returns the disjunction of xs (false when empty).
 func (b *Builder) Or(xs ...*Term) *Term {
-	var flat []*Term
+	var buf [8]*Term
+	flat := buf[:0]
 	seen := map[uint64]bool{}
 	for _, x := range xs {
 		mustBool(x)
@@ -215,11 +263,13 @@ func (b *Builder) Or(xs ...*Term) *Term {
 		return flat[0]
 	}
 	sortByID(flat)
-	return b.intern(&Term{Kind: KOr, Args: flat})
+	return b.intern(Term{Kind: KOr}, flat...)
 }
 
+// sortByID orders ts by ID. Equal IDs are the same term, so the order
+// does not depend on the sort's stability.
 func sortByID(ts []*Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
+	slices.SortFunc(ts, func(x, y *Term) int { return cmp.Compare(x.id, y.id) })
 }
 
 // Xor returns x ^ y over Bool.
@@ -245,7 +295,7 @@ func (b *Builder) Xor(x, y *Term) *Term {
 	if x.id > y.id {
 		x, y = y, x
 	}
-	return b.intern(&Term{Kind: KXor, Args: []*Term{x, y}})
+	return b.intern(Term{Kind: KXor}, x, y)
 }
 
 // Implies returns x => y.
@@ -264,7 +314,7 @@ func (b *Builder) Implies(x, y *Term) *Term {
 			return b.True()
 		}
 	}
-	return b.intern(&Term{Kind: KImplies, Args: []*Term{x, y}})
+	return b.intern(Term{Kind: KImplies}, x, y)
 }
 
 // Eq returns the polymorphic equality x = y (both Bool or both BitVec of
@@ -302,7 +352,7 @@ func (b *Builder) Eq(x, y *Term) *Term {
 	if x.id > y.id {
 		x, y = y, x
 	}
-	return b.intern(&Term{Kind: KEq, Args: []*Term{x, y}})
+	return b.intern(Term{Kind: KEq}, x, y)
 }
 
 // Ne returns the negation of Eq.
@@ -347,7 +397,7 @@ func (b *Builder) Ite(cond, x, y *Term) *Term {
 		}
 	}
 	w := x.Width
-	return b.intern(&Term{Kind: KIte, Width: w, Args: []*Term{cond, x, y}})
+	return b.intern(Term{Kind: KIte, Width: w}, cond, x, y)
 }
 
 // binBV builds a binary BitVec operation with constant folding.
@@ -358,19 +408,33 @@ func (b *Builder) binBV(kind Kind, x, y *Term, fold func(a, c bv.Vec) bv.Vec) *T
 	if b.Simplify && x.Kind == KBVConst && y.Kind == KBVConst {
 		return b.Const(fold(x.Val, y.Val))
 	}
-	return b.intern(&Term{Kind: kind, Width: x.Width, Args: []*Term{x, y}})
+	return b.intern(Term{Kind: kind, Width: x.Width}, x, y)
 }
 
-// flattenAC collects the leaves of an associative-commutative operator
-// tree.
-func flattenAC(kind Kind, t *Term, out *[]*Term) {
-	if t.Kind == kind {
-		for _, a := range t.Args {
-			flattenAC(kind, a, out)
+// maxACLeaves bounds the leaves acBuild flattens into one application.
+// Flattening copies a shared operand once per use, so x+x over a sum of
+// n leaves has 2n, and k such doublings would build 2^k; past the bound
+// the two operands stay whole. No corpus transform flattens more than
+// three leaves.
+const maxACLeaves = 64
+
+// flattenAC appends the leaves of an associative-commutative operator
+// tree to out. It reports false, with part of them appended, once out
+// would hold more than maxACLeaves.
+func flattenAC(kind Kind, t *Term, out []*Term) ([]*Term, bool) {
+	if t.Kind != kind {
+		if len(out) == maxACLeaves {
+			return out, false
 		}
-		return
+		return append(out, t), true
 	}
-	*out = append(*out, t)
+	for _, a := range t.Args {
+		var ok bool
+		if out, ok = flattenAC(kind, a, out); !ok {
+			return out, false
+		}
+	}
+	return out, true
 }
 
 // acBuild normalizes an associative-commutative operator application:
@@ -389,24 +453,28 @@ func (b *Builder) acBuild(kind Kind, x, y *Term, fold func(a, c bv.Vec) bv.Vec) 
 		if x.id > y.id {
 			x, y = y, x
 		}
-		return b.intern(&Term{Kind: kind, Width: w, Args: []*Term{x, y}})
+		return b.intern(Term{Kind: kind, Width: w}, x, y)
 	}
 
-	var leaves []*Term
-	flattenAC(kind, x, &leaves)
-	flattenAC(kind, y, &leaves)
+	var buf [8]*Term
+	leaves, ok := flattenAC(kind, x, buf[:0])
+	if ok {
+		leaves, ok = flattenAC(kind, y, leaves)
+	}
+	if !ok {
+		leaves = append(leaves[:0], x, y)
+	}
 
 	// Fold constants together.
-	var cval *bv.Vec
+	var cval bv.Vec
+	hasC := false
 	nonConst := leaves[:0]
 	for _, l := range leaves {
 		if l.Kind == KBVConst {
-			if cval == nil {
-				v := l.Val
-				cval = &v
+			if !hasC {
+				cval, hasC = l.Val, true
 			} else {
-				v := fold(*cval, l.Val)
-				cval = &v
+				cval = fold(cval, l.Val)
 			}
 			continue
 		}
@@ -454,44 +522,36 @@ func (b *Builder) acBuild(kind Kind, x, y *Term, fold func(a, c bv.Vec) bv.Vec) 
 	}
 
 	// Absorbing and identity constants.
-	if cval != nil {
+	if hasC {
 		switch kind {
 		case KBVMul:
 			if cval.IsZero() {
 				return b.ConstUint(w, 0)
 			}
-			if cval.IsOne() {
-				cval = nil
-			}
+			hasC = !cval.IsOne()
 		case KBVAnd:
 			if cval.IsZero() {
 				return b.ConstUint(w, 0)
 			}
-			if cval.IsOnes() {
-				cval = nil
-			}
+			hasC = !cval.IsOnes()
 		case KBVOr:
 			if cval.IsOnes() {
 				return b.Const(bv.Ones(w))
 			}
-			if cval.IsZero() {
-				cval = nil
-			}
+			hasC = !cval.IsZero()
 		case KBVAdd, KBVXor:
-			if cval.IsZero() {
-				cval = nil
-			}
+			hasC = !cval.IsZero()
 		}
 	}
 
 	// x ^ all-ones is a complement.
-	if kind == KBVXor && cval != nil && cval.IsOnes() && len(leaves) == 1 {
+	if kind == KBVXor && hasC && cval.IsOnes() && len(leaves) == 1 {
 		return b.BVNot(leaves[0])
 	}
 
 	sortByID(leaves)
-	if cval != nil {
-		leaves = append(leaves, b.Const(*cval))
+	if hasC {
+		leaves = append(leaves, b.Const(cval))
 	}
 	switch len(leaves) {
 	case 0:
@@ -509,7 +569,7 @@ func (b *Builder) acBuild(kind Kind, x, y *Term, fold func(a, c bv.Vec) bv.Vec) 
 	}
 	acc := leaves[0]
 	for _, l := range leaves[1:] {
-		acc = b.intern(&Term{Kind: kind, Width: w, Args: []*Term{acc, l}})
+		acc = b.intern(Term{Kind: kind, Width: w}, acc, l)
 	}
 	return acc
 }
@@ -557,7 +617,7 @@ func (b *Builder) Neg(x *Term) *Term {
 			return x.Args[0]
 		}
 	}
-	return b.intern(&Term{Kind: KBVNeg, Width: x.Width, Args: []*Term{x}})
+	return b.intern(Term{Kind: KBVNeg, Width: x.Width}, x)
 }
 
 // BVNot returns the bitwise complement ~x.
@@ -571,7 +631,7 @@ func (b *Builder) BVNot(x *Term) *Term {
 			return x.Args[0]
 		}
 	}
-	return b.intern(&Term{Kind: KBVNot, Width: x.Width, Args: []*Term{x}})
+	return b.intern(Term{Kind: KBVNot, Width: x.Width}, x)
 }
 
 // Udiv returns x /u y (SMT-LIB zero-divisor convention).
@@ -661,7 +721,7 @@ func (b *Builder) rel(kind Kind, x, y *Term, fold func(a, c bv.Vec) bool) *Term 
 			return b.Bool(kind == KBVUle || kind == KBVSle)
 		}
 	}
-	return b.intern(&Term{Kind: kind, Args: []*Term{x, y}})
+	return b.intern(Term{Kind: kind}, x, y)
 }
 
 // Ult returns x <u y.
@@ -701,7 +761,7 @@ func (b *Builder) ZExt(x *Term, width int) *Term {
 	if b.Simplify && x.Kind == KBVConst {
 		return b.Const(x.Val.ZExt(width))
 	}
-	return b.intern(&Term{Kind: KZExt, Width: width, Args: []*Term{x}})
+	return b.intern(Term{Kind: KZExt, Width: width}, x)
 }
 
 // SExt returns x sign-extended to width.
@@ -716,7 +776,7 @@ func (b *Builder) SExt(x *Term, width int) *Term {
 	if b.Simplify && x.Kind == KBVConst {
 		return b.Const(x.Val.SExt(width))
 	}
-	return b.intern(&Term{Kind: KSExt, Width: width, Args: []*Term{x}})
+	return b.intern(Term{Kind: KSExt, Width: width}, x)
 }
 
 // Extract returns bits hi..lo of x.
@@ -731,7 +791,7 @@ func (b *Builder) Extract(x *Term, hi, lo int) *Term {
 	if b.Simplify && x.Kind == KBVConst {
 		return b.Const(x.Val.Extract(hi, lo))
 	}
-	return b.intern(&Term{Kind: KExtract, Width: hi - lo + 1, Args: []*Term{x}, Hi: hi, Lo: lo})
+	return b.intern(Term{Kind: KExtract, Width: hi - lo + 1, Hi: hi, Lo: lo}, x)
 }
 
 // Trunc returns the low width bits of x.
@@ -746,7 +806,7 @@ func (b *Builder) Concat(x, y *Term) *Term {
 	if b.Simplify && x.Kind == KBVConst && y.Kind == KBVConst {
 		return b.Const(x.Val.Concat(y.Val))
 	}
-	return b.intern(&Term{Kind: KConcat, Width: x.Width + y.Width, Args: []*Term{x, y}})
+	return b.intern(Term{Kind: KConcat, Width: x.Width + y.Width}, x, y)
 }
 
 // Substitute returns t with every variable named in sub replaced by the

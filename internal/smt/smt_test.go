@@ -426,6 +426,37 @@ func TestACNormalizationSemantics(t *testing.T) {
 	}
 }
 
+// TestACFlatteningBounded doubles a sum and a product 40 times. An
+// unbounded flattening copies the shared operand each time, so the sum
+// would end with 2^40 leaves; bounded, the DAG stays linear in the
+// number of doublings and still evaluates to 2^40·x and x^(2^40).
+func TestACFlatteningBounded(t *testing.T) {
+	b := NewBuilder()
+	x := b.Var("x", 64)
+	sum, prod := x, x
+	for i := 0; i < 40; i++ {
+		sum = b.Add(sum, sum)
+		prod = b.Mul(prod, prod)
+	}
+	for _, tm := range []*Term{sum, prod} {
+		if n := tm.Size(); n > 2*maxACLeaves+40 {
+			t.Errorf("40 doublings built %d nodes", n)
+		}
+	}
+	m := NewModel()
+	m.BVs["x"] = bv.New(64, 3)
+	if got, want := Eval(sum, m).V, bv.New(64, 3<<40); !got.Eq(want) {
+		t.Errorf("sum evaluates to %s, want %s", got, want)
+	}
+	want := uint64(3)
+	for i := 0; i < 40; i++ {
+		want *= want
+	}
+	if got := Eval(prod, m).V; got.Uint64() != want {
+		t.Errorf("product evaluates to %s, want %#x", got, want)
+	}
+}
+
 // TestOverWidthShiftFolds checks the constant folds for shift amounts
 // >= the operand width: shl and lshr produce zero, ashr replicates the
 // sign bit (the same fill semantics bv.Vec and the bit-blaster use).

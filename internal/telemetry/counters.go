@@ -97,58 +97,54 @@ type Counters struct {
 	LearntsRetained int64 `json:"learnts_retained"`
 }
 
-// counterFields fixes the field order for Each (and therefore for span
-// annotations and every rendered listing): façade, SAT core, CEGIS.
-var counterFields = []struct {
-	name string
-	get  func(*Counters) *int64
-}{
-	{"checks", func(c *Counters) *int64 { return &c.Checks }},
-	{"folded", func(c *Counters) *int64 { return &c.Folded }},
-	{"decided", func(c *Counters) *int64 { return &c.Decided }},
-	{"cdcl_runs", func(c *Counters) *int64 { return &c.CDCLRuns }},
-	{"term_nodes_before", func(c *Counters) *int64 { return &c.TermNodesBefore }},
-	{"propagations", func(c *Counters) *int64 { return &c.Propagations }},
-	{"conflicts", func(c *Counters) *int64 { return &c.Conflicts }},
-	{"decisions", func(c *Counters) *int64 { return &c.Decisions }},
-	{"restarts", func(c *Counters) *int64 { return &c.Restarts }},
-	{"learned_clauses", func(c *Counters) *int64 { return &c.LearnedClauses }},
-	{"cnf_vars", func(c *Counters) *int64 { return &c.CNFVars }},
-	{"cnf_clauses", func(c *Counters) *int64 { return &c.CNFClauses }},
-	{"lbd_core", func(c *Counters) *int64 { return &c.LBDCore }},
-	{"db_reductions", func(c *Counters) *int64 { return &c.DBReductions }},
-	{"vars_eliminated", func(c *Counters) *int64 { return &c.VarsEliminated }},
-	{"clauses_subsumed", func(c *Counters) *int64 { return &c.ClausesSubsumed }},
-	{"clauses_strengthened", func(c *Counters) *int64 { return &c.ClausesStrengthened }},
-	{"clauses_blocked", func(c *Counters) *int64 { return &c.ClausesBlocked }},
-	{"probe_units", func(c *Counters) *int64 { return &c.ProbeUnits }},
-	{"cegis_rounds", func(c *Counters) *int64 { return &c.CEGISRounds }},
-	{"incremental_solves", func(c *Counters) *int64 { return &c.IncrementalSolves }},
-	{"assumption_lits", func(c *Counters) *int64 { return &c.AssumptionLits }},
-	{"encodings_reused", func(c *Counters) *int64 { return &c.EncodingsReused }},
-	{"learnts_retained", func(c *Counters) *int64 { return &c.LearntsRetained }},
+// counterNames fixes the field order for Each (and therefore for span
+// annotations and every rendered listing): façade, SAT core, CEGIS. It
+// is the order of fields.
+var counterNames = [...]string{
+	"checks", "folded", "decided", "cdcl_runs", "term_nodes_before",
+	"propagations", "conflicts", "decisions", "restarts", "learned_clauses",
+	"cnf_vars", "cnf_clauses", "lbd_core", "db_reductions",
+	"vars_eliminated", "clauses_subsumed", "clauses_strengthened",
+	"clauses_blocked", "probe_units", "cegis_rounds", "incremental_solves",
+	"assumption_lits", "encodings_reused", "learnts_retained",
+}
+
+// fields returns pointers to c's counters in counterNames order. The
+// pointers stay with the caller, so a Counters on the caller's stack
+// stays there: Add, Sub and IsZero allocate nothing.
+func (c *Counters) fields() [len(counterNames)]*int64 {
+	return [...]*int64{
+		&c.Checks, &c.Folded, &c.Decided, &c.CDCLRuns, &c.TermNodesBefore,
+		&c.Propagations, &c.Conflicts, &c.Decisions, &c.Restarts, &c.LearnedClauses,
+		&c.CNFVars, &c.CNFClauses, &c.LBDCore, &c.DBReductions,
+		&c.VarsEliminated, &c.ClausesSubsumed, &c.ClausesStrengthened,
+		&c.ClausesBlocked, &c.ProbeUnits, &c.CEGISRounds, &c.IncrementalSolves,
+		&c.AssumptionLits, &c.EncodingsReused, &c.LearntsRetained,
+	}
 }
 
 // Add accumulates o into c.
 func (c *Counters) Add(o Counters) {
-	for _, f := range counterFields {
-		*f.get(c) += *f.get(&o)
+	dst, src := c.fields(), o.fields()
+	for i := range dst {
+		*dst[i] += *src[i]
 	}
 }
 
 // Sub returns c - o, the counter delta between two snapshots.
 func (c Counters) Sub(o Counters) Counters {
 	var d Counters
-	for _, f := range counterFields {
-		*f.get(&d) = *f.get(&c) - *f.get(&o)
+	dst, x, y := d.fields(), c.fields(), o.fields()
+	for i := range dst {
+		*dst[i] = *x[i] - *y[i]
 	}
 	return d
 }
 
 // IsZero reports whether every counter is zero.
 func (c Counters) IsZero() bool {
-	for _, f := range counterFields {
-		if *f.get(&c) != 0 {
+	for _, v := range c.fields() {
+		if *v != 0 {
 			return false
 		}
 	}
@@ -158,7 +154,7 @@ func (c Counters) IsZero() bool {
 // Each calls f for every counter in a fixed, documented order using the
 // same snake_case names the JSON encoding uses.
 func (c Counters) Each(f func(name string, v int64)) {
-	for _, fld := range counterFields {
-		f(fld.name, *fld.get(&c))
+	for i, v := range c.fields() {
+		f(counterNames[i], *v)
 	}
 }

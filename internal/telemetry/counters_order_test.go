@@ -43,3 +43,49 @@ func TestCountersEachOrderStability(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// TestCountersFieldByField sets each field alone and checks that Each
+// reports it under the field's JSON name, and that Add, Sub and IsZero
+// see it: a field the arithmetic skipped would read zero in every sum.
+func TestCountersFieldByField(t *testing.T) {
+	rt := reflect.TypeOf(Counters{})
+	for i := 0; i < rt.NumField(); i++ {
+		var c Counters
+		reflect.ValueOf(&c).Elem().Field(i).SetInt(int64(i + 1))
+		tag := rt.Field(i).Tag.Get("json")
+		c.Each(func(name string, v int64) {
+			if (name == tag) != (v == int64(i+1)) || (name != tag && v != 0) {
+				t.Errorf("field %s: Each reports %s = %d", rt.Field(i).Name, name, v)
+			}
+		})
+		var sum Counters
+		sum.Add(c)
+		sum.Add(c)
+		if got := reflect.ValueOf(sum).Field(i).Int(); got != int64(2*(i+1)) {
+			t.Errorf("field %s: Add gives %d, want %d", rt.Field(i).Name, got, 2*(i+1))
+		}
+		if d := sum.Sub(c); d != c {
+			t.Errorf("field %s: Sub gives %+v, want %+v", rt.Field(i).Name, d, c)
+		}
+		if c.IsZero() {
+			t.Errorf("field %s: IsZero ignores it", rt.Field(i).Name)
+		}
+	}
+}
+
+// TestCountersAllocationFree checks that the arithmetic every query
+// runs allocates nothing.
+func TestCountersAllocationFree(t *testing.T) {
+	a := Counters{Checks: 2, Conflicts: 5}
+	b := Counters{Checks: 1, Propagations: 3}
+	var sink bool
+	n := testing.AllocsPerRun(100, func() {
+		var sum Counters
+		sum.Add(a)
+		sum.Add(b.Sub(a))
+		sink = sink != sum.IsZero()
+	})
+	if n != 0 {
+		t.Errorf("Add, Sub and IsZero allocate %.1f objects, want 0", n)
+	}
+}
